@@ -225,6 +225,13 @@ def linear(root: Scalar) -> Polynomial:
     return Polynomial((-Fraction(root), Fraction(1)))
 
 
+def nth_derivative(p: Polynomial, order: int) -> Polynomial:
+    """The order-th derivative of p."""
+    for _ in range(order):
+        p = p.diff()
+    return p
+
+
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic greatest common divisor by Euclid's algorithm."""
     while not b.is_zero:

@@ -8,6 +8,14 @@ classical three-term recurrences (`oracle_recurrence`).  The oracle path is
 ground truth for every other construction in the package and deliberately
 shares no code with the operator path.
 
+The printed formulas are kept as row tables, one row per family, each read by
+a single evaluator: ``_RECURRENCES`` holds (p_1, k -> (A_k, B_k, C_k)) for the
+recurrence p_(k+1) = (A_k x + B_k) p_k - C_k p_(k-1); ``_RODRIGUES`` holds
+(1/w, w sigma^n, 1/K_n) for p_n = (1/(K_n w)) D^n (w sigma^n); ``_CHAINS``
+holds, per family and chain variant, the least n and the steps of the chain
+[left, D, *middle] applied to an operand.  Rows are functions of the index and
+the spec, so no weighted expression is built at import time.
+
 Square-root weights are expressed in the canonical (x - root) basis of the
 weighted module: ``qpow(e)`` below stands for (x^2-1)^e.  Formulas printed
 against (1-x^2)^e differ from that basis by a phase (-1)^e per factor; the
@@ -22,8 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import ONE, Polynomial, RationalFunction, X
-from .ladder import DIFF, LOWERING, RAISING, ChainStep, LadderOperator, apply_chain
+from .algebra import ONE, Polynomial, RationalFunction, X, nth_derivative
+from .ladder import DIFF, LOWERING, RAISING, LadderOperator, apply_chain
 from .weighted import WeightedExpression
 
 KINDS = (
@@ -77,10 +85,6 @@ def qpow(exponent: Fraction | int) -> WeightedExpression:
 def rpow(exponent: Fraction | int) -> WeightedExpression:
     """r^exponent, a power factor at the origin."""
     return WeightedExpression.power(0, Fraction(exponent))
-
-
-def factorial(n: int) -> int:
-    return math.factorial(n)
 
 
 def odd_double_factorial(k: int) -> int:
@@ -255,47 +259,38 @@ def make_operator(spec: FamilySpec, direction: str) -> LadderOperator:
 # ---------------------------------------------------------------------------
 
 
+#: kind -> spec -> (p_1, k -> (A_k, B_k, C_k)), with p_0 = 1 and
+#: p_(k+1) = (A_k x + B_k) p_k - C_k p_(k-1).
+_RECURRENCES = {
+    "legendre": lambda s: (X, lambda k: (Fraction(2 * k + 1, k + 1), 0, Fraction(k, k + 1))),
+    "chebyshev-T": lambda s: (X, lambda k: (2, 0, 1)),
+    "chebyshev-U": lambda s: (X * 2, lambda k: (2, 0, 1)),
+    "gegenbauer": lambda s: (
+        X * (2 * s.lam),
+        lambda k: (2 * (k + s.lam) / (k + 1), 0, (k + 2 * s.lam - 1) / (k + 1)),
+    ),
+    "laguerre": lambda s: (
+        Polynomial.of(1 + s.alpha, -1),
+        lambda k: (Fraction(-1, k + 1), (2 * k + 1 + s.alpha) / (k + 1), (k + s.alpha) / (k + 1)),
+    ),
+    "hermite": lambda s: (X * 2, lambda k: (2, 0, 2 * k)),
+}
+
+
 @lru_cache(maxsize=None)
 def oracle_recurrence(spec: FamilySpec) -> Polynomial:
     """The family polynomial from its classical three-term recurrence."""
     n = spec.n
-    kind = spec.kind
-    if kind == "legendre":
-        prev, cur = ONE, X
-        for k in range(1, n):
-            prev, cur = cur, (X * cur * (2 * k + 1) - prev * k) * Fraction(1, k + 1)
-        return ONE if n == 0 else cur
-    if kind == "chebyshev-T":
-        prev, cur = ONE, X
-        for _ in range(1, n):
-            prev, cur = cur, X * cur * 2 - prev
-        return ONE if n == 0 else cur
-    if kind == "chebyshev-U":
-        prev, cur = ONE, X * 2
-        for _ in range(1, n):
-            prev, cur = cur, X * cur * 2 - prev
-        return ONE if n == 0 else cur
-    if kind == "gegenbauer":
-        lam = spec.lam
-        prev, cur = ONE, X * (2 * lam)
-        for k in range(1, n):
-            prev, cur = cur, (X * cur * (2 * (k + lam)) - prev * (k + 2 * lam - 1)) * Fraction(1, k + 1)
-        return ONE if n == 0 else cur
-    if kind == "laguerre":
-        alpha = spec.alpha
-        prev, cur = ONE, Polynomial.of(1 + alpha, -1)
-        for k in range(1, n):
-            prev, cur = cur, ((Polynomial.of(2 * k + 1 + alpha, -1)) * cur - prev * (k + alpha)) * Fraction(1, k + 1)
-        return ONE if n == 0 else cur
-    if kind == "hermite":
-        prev, cur = ONE, X * 2
-        for k in range(1, n):
-            prev, cur = cur, X * cur * 2 - prev * (2 * k)
-        return ONE if n == 0 else cur
-    if kind == "laguerre-radial":
-        base = oracle_recurrence(FamilySpec("laguerre", n, alpha=spec.alpha))
-        return base.compose(X * X)
-    raise ValueError(f"no recurrence oracle for family {kind!r}")
+    if spec.kind == "laguerre-radial":
+        return oracle_recurrence(FamilySpec("laguerre", n, alpha=spec.alpha)).compose(X * X)
+    if spec.kind not in _RECURRENCES:
+        raise ValueError(f"no recurrence oracle for family {spec.kind!r}")
+    p1, coefficients = _RECURRENCES[spec.kind](spec)
+    prev, cur = ONE, p1
+    for k in range(1, n):
+        a, b, c = coefficients(k)
+        prev, cur = cur, Polynomial.of(b, a) * cur - prev * c
+    return ONE if n == 0 else cur
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +348,9 @@ def hermite_from_laguerre(n: int, parity: str) -> Polynomial:
     sign = -1 if n % 2 else 1
     if parity == "even":
         base = generate_ladder(FamilySpec("laguerre", n, alpha=Fraction(-1, 2)))
-        return base.compose(X * X) * (sign * 2 ** (2 * n) * factorial(n))
+        return base.compose(X * X) * (sign * 2 ** (2 * n) * math.factorial(n))
     base = generate_ladder(FamilySpec("laguerre", n, alpha=Fraction(1, 2)))
-    return X * base.compose(X * X) * (sign * 2 ** (2 * n + 1) * factorial(n))
+    return X * base.compose(X * X) * (sign * 2 ** (2 * n + 1) * math.factorial(n))
 
 
 def generate_assoc_legendre(n: int, m: int) -> WeightedExpression:
@@ -365,7 +360,7 @@ def generate_assoc_legendre(n: int, m: int) -> WeightedExpression:
     P_n and checks the two agree up to ASSOC_LEGENDRE_ITERATION_SCALE.
     """
     spec = FamilySpec("assoc-legendre", n, m=m)
-    definitional = qpow(Fraction(m, 2)) * _derivative_power(oracle_recurrence(FamilySpec("legendre", n)), m)
+    definitional = qpow(Fraction(m, 2)) * nth_derivative(oracle_recurrence(FamilySpec("legendre", n)), m)
     iterated = assoc_legendre_iterated(n, m)
     ratio = iterated.scalar_ratio(definitional)
     if ratio != ASSOC_LEGENDRE_ITERATION_SCALE:
@@ -385,47 +380,125 @@ def assoc_legendre_iterated(n: int, m: int) -> WeightedExpression:
     return acc
 
 
-def _derivative_power(p: Polynomial, order: int) -> WeightedExpression:
-    for _ in range(order):
-        p = p.diff()
-    return WeightedExpression.from_polynomial(p)
-
-
 # ---------------------------------------------------------------------------
 # Rodrigues formulas: printed n-fold derivative forms and chain forms.
 # ---------------------------------------------------------------------------
+
+
+#: kind -> (n, spec) -> (1/w, w sigma^n, 1/K_n) in p_n = (1/(K_n w)) D^n (w sigma^n).
+_RODRIGUES = {
+    "legendre": lambda n, s: (qpow(0), qpow(n), Fraction(1, 2**n * math.factorial(n))),
+    "chebyshev-U": lambda n, s: (
+        qpow(Fraction(-1, 2)),
+        qpow(Fraction(2 * n + 1, 2)),
+        Fraction(n + 1, odd_double_factorial(2 * n + 1)),
+    ),
+    "chebyshev-T": lambda n, s: (
+        qpow(Fraction(1, 2)),
+        qpow(Fraction(2 * n - 1, 2)),
+        Fraction(1, odd_double_factorial(2 * n - 1)),
+    ),
+    "gegenbauer": lambda n, s: (
+        qpow(Fraction(1, 2) - s.lam),
+        qpow(n + s.lam - Fraction(1, 2)),
+        Fraction(2**n) * pochhammer(s.lam, n) / (math.factorial(n) * pochhammer(n + 2 * s.lam, n)),
+    ),
+    "laguerre": lambda n, s: (
+        rpow(-s.alpha) * WeightedExpression.exp_of(X),
+        rpow(n + s.alpha) * WeightedExpression.exp_of(-X),
+        Fraction(1, math.factorial(n)),
+    ),
+}
 
 
 def rodrigues_standard(spec: FamilySpec) -> Polynomial:
     """The printed n-fold-derivative Rodrigues formula, evaluated exactly.
 
     Half-integer weights are evaluated in the (x - root) basis; the scalars
-    below fold in the net (-1)^n basis phase so the result matches the
+    1/K_n fold in the net (-1)^n basis phase so the result matches the
     recurrence oracle exactly.
     """
-    n = spec.n
-    kind = spec.kind
-    if kind == "legendre":
-        chain = apply_chain([DIFF] * n, _wp(X_SQ_MINUS_1 ** n))
-        return (chain * Fraction(1, 2**n * factorial(n))).as_polynomial()
-    if kind == "chebyshev-U":
-        chain = qpow(Fraction(-1, 2)) * apply_chain([DIFF] * n, qpow(Fraction(2 * n + 1, 2)))
-        return (chain * Fraction(n + 1, odd_double_factorial(2 * n + 1))).as_polynomial()
-    if kind == "chebyshev-T":
-        chain = qpow(Fraction(1, 2)) * apply_chain([DIFF] * n, qpow(Fraction(2 * n - 1, 2)))
-        return (chain * Fraction(1, odd_double_factorial(2 * n - 1))).as_polynomial()
-    if kind == "gegenbauer":
-        lam = spec.lam
-        scale = Fraction(2**n) * pochhammer(lam, n) / (factorial(n) * pochhammer(n + 2 * lam, n))
-        chain = qpow(Fraction(1, 2) - lam) * apply_chain([DIFF] * n, qpow(n + lam - Fraction(1, 2)))
-        return (chain * scale).as_polynomial()
-    if kind == "laguerre":
-        alpha = spec.alpha
-        left = rpow(-alpha) * WeightedExpression.exp_of(X)
-        operand = rpow(n + alpha) * WeightedExpression.exp_of(-X)
-        chain = left * apply_chain([DIFF] * n, operand)
-        return (chain * Fraction(1, factorial(n))).as_polynomial()
-    raise ValueError(f"family {kind!r} has no printed n-fold Rodrigues formula")
+    if spec.kind not in _RODRIGUES:
+        raise ValueError(f"family {spec.kind!r} has no printed n-fold Rodrigues formula")
+    left, operand, scale = _RODRIGUES[spec.kind](spec.n, spec)
+    return (left * apply_chain([DIFF] * spec.n, operand) * scale).as_polynomial()
+
+
+def _hermite_radial_row(n: int, spec: FamilySpec) -> tuple:
+    # H_(2k) and H_(2k+1) through the x = r^2 Laguerre chains at alpha = -+1/2.
+    # The even display's prefactor is r^(2-2k): the printed r^(-2k) is
+    # inconsistent with the Laguerre reduction and fails to cancel the weights.
+    # The odd display's prefactor carries the extra r of H_(2k+1) ~ r L_k^(1/2)(r^2).
+    k, parity = divmod(n, 2)
+    sign = -1 if k % 2 else 1
+    left = rpow(2 - 2 * k - parity) * WeightedExpression.exp_of(X * X)
+    operand = rpow(1 + 2 * parity) * WeightedExpression.exp_of(-(X * X))
+    return left, [rpow(3), DIFF] * (k - 1), operand, Fraction(sign * 2 ** (k + parity))
+
+
+#: (kind, variant) -> (least n, (n, spec) -> (left, middle, operand, scale)):
+#: p_n = scale * [left, D, *middle] applied to operand.  An h0-chain's middle
+#: repeats [(x^2-1)^(3/2), D], or [r^3, D] in r; a one-step split's is
+#: [(x^2-1)^(n/2), D, ..., D].
+_CHAINS = {
+    ("legendre", "h0-chain"): (1, lambda n, s: (
+        qpow(Fraction(2 - n, 2)),
+        [qpow(Fraction(3, 2)), DIFF] * (n - 1),
+        qpow(Fraction(1, 2)),
+        Fraction(1, math.factorial(n)),
+    )),
+    ("chebyshev-U", "h0-chain"): (1, lambda n, s: (
+        qpow(Fraction(1 - n, 2)),
+        [qpow(Fraction(3, 2)), DIFF] * (n - 1),
+        qpow(1),
+        Fraction(1, math.factorial(n)),
+    )),
+    ("chebyshev-T", "h0-chain"): (2, lambda n, s: (
+        qpow(Fraction(3 - n, 2)),
+        [qpow(Fraction(3, 2)), DIFF] * (n - 2),
+        _wp(X) * qpow(Fraction(1, 2)),
+        Fraction(1, math.factorial(n - 1)),
+    )),
+    ("gegenbauer", "h0-chain"): (1, lambda n, s: (
+        qpow(Fraction(3 - n, 2) - s.lam),
+        [qpow(Fraction(3, 2)), DIFF] * (n - 1),
+        qpow(s.lam),
+        Fraction(1, math.factorial(n)),
+    )),
+    ("laguerre-radial", "h0-chain"): (1, lambda n, s: (
+        rpow(1 - 2 * (n + s.alpha)) * WeightedExpression.exp_of(X * X),
+        [rpow(3), DIFF] * (n - 1),
+        rpow(2 * (s.alpha + 1)) * WeightedExpression.exp_of(-(X * X)),
+        Fraction(1, math.factorial(n) * 2**n),
+    )),
+    ("hermite", "h0-chain"): (2, _hermite_radial_row),
+    ("legendre", "one-step-split"): (1, lambda n, s: (
+        qpow(Fraction(2 - n, 2)),
+        [qpow(Fraction(n, 2))] + [DIFF] * (n - 1),
+        qpow(n - 1),
+        Fraction(1, 2 ** (n - 1) * math.factorial(n)),
+    )),
+    ("chebyshev-U", "one-step-split"): (1, lambda n, s: (
+        qpow(Fraction(1 - n, 2)),
+        [qpow(Fraction(n, 2))] + [DIFF] * (n - 1),
+        qpow(Fraction(2 * n - 1, 2)),
+        Fraction(1, odd_double_factorial(2 * n - 1)),
+    )),
+    ("chebyshev-T", "one-step-split"): (2, lambda n, s: (
+        qpow(Fraction(3 - n, 2)),
+        [qpow(Fraction(n, 2))] + [DIFF] * (n - 1),
+        qpow(Fraction(2 * n - 3, 2)),
+        Fraction(1, odd_double_factorial(2 * n - 3) * (n - 1)),
+    )),
+    ("gegenbauer", "one-step-split"): (1, lambda n, s: (
+        qpow(Fraction(3 - n, 2) - s.lam),
+        [qpow(Fraction(n, 2))] + [DIFF] * (n - 1),
+        qpow(n + s.lam - Fraction(3, 2)),
+        Fraction(2 ** (n - 1))
+        * pochhammer(s.lam, n - 1)
+        / (math.factorial(n) * pochhammer(n + 2 * s.lam - 1, n - 1)),
+    )),
+}
 
 
 def rodrigues_chain(spec: FamilySpec, variant: str) -> Polynomial:
@@ -435,103 +508,12 @@ def rodrigues_chain(spec: FamilySpec, variant: str) -> Polynomial:
     differentiation; one-step-split applies a single weighted derivative to an
     (n-1)-fold plain derivative.  Radial variants return polynomials in r.
     """
-    if variant == "h0-chain":
-        return _chain_h0(spec)
-    if variant == "one-step-split":
-        return _chain_one_step(spec)
-    raise ValueError(f"unknown chain variant: {variant!r}")
-
-
-def _chain_h0(spec: FamilySpec) -> Polynomial:
-    n = spec.n
-    kind = spec.kind
-    three_halves = qpow(Fraction(3, 2))
-    if kind == "legendre":
-        if n < 1:
-            raise ValueError("chain requires n >= 1")
-        steps: list[ChainStep] = [qpow(Fraction(2 - n, 2)), DIFF] + [three_halves, DIFF] * (n - 1)
-        result = apply_chain(steps, qpow(Fraction(1, 2)))
-        return (result * Fraction(1, factorial(n))).as_polynomial()
-    if kind == "chebyshev-U":
-        if n < 1:
-            raise ValueError("chain requires n >= 1")
-        steps = [qpow(Fraction(1 - n, 2)), DIFF] + [three_halves, DIFF] * (n - 1)
-        result = apply_chain(steps, _wp(X_SQ_MINUS_1))
-        return (result * Fraction(1, factorial(n))).as_polynomial()
-    if kind == "chebyshev-T":
-        if n < 2:
-            raise ValueError("the chebyshev-T chain starts from x*(x^2-1)^(1/2) and needs n >= 2")
-        steps = [qpow(Fraction(3 - n, 2)), DIFF] + [three_halves, DIFF] * (n - 2)
-        result = apply_chain(steps, _wp(X) * qpow(Fraction(1, 2)))
-        return (result * Fraction(1, factorial(n - 1))).as_polynomial()
-    if kind == "gegenbauer":
-        if n < 1:
-            raise ValueError("chain requires n >= 1")
-        lam = spec.lam
-        steps = [qpow(Fraction(3 - n, 2) - lam), DIFF] + [three_halves, DIFF] * (n - 1)
-        result = apply_chain(steps, qpow(lam))
-        return (result * Fraction(1, factorial(n))).as_polynomial()
-    if kind == "laguerre-radial":
-        if n < 1:
-            raise ValueError("chain requires n >= 1")
-        alpha = spec.alpha
-        left = rpow(1 - 2 * (n + alpha)) * WeightedExpression.exp_of(X * X)
-        operand = rpow(2 * (alpha + 1)) * WeightedExpression.exp_of(-(X * X))
-        steps = [left, DIFF] + [rpow(3), DIFF] * (n - 1)
-        result = apply_chain(steps, operand)
-        return (result * Fraction(1, factorial(n) * 2**n)).as_polynomial()
-    if kind == "hermite":
-        return _hermite_radial_chain(n)
-    raise ValueError(f"family {kind!r} has no printed h=0 chain")
-
-
-def _hermite_radial_chain(n: int) -> Polynomial:
-    # H_(2k) and H_(2k+1) through the x = r^2 Laguerre chains at alpha = -+1/2.
-    # The even display's prefactor is r^(2-2k): the printed r^(-2k) is
-    # inconsistent with the Laguerre reduction and fails to cancel the weights.
-    if n < 2:
-        raise ValueError("the radial Hermite chains need n >= 2")
-    k, parity = divmod(n, 2)
-    sign = -1 if k % 2 else 1
-    if parity == 0:
-        left = rpow(2 - 2 * k) * WeightedExpression.exp_of(X * X)
-        operand = rpow(1) * WeightedExpression.exp_of(-(X * X))
-        scale = Fraction(sign * 2**k)
-    else:
-        left = rpow(1 - 2 * k) * WeightedExpression.exp_of(X * X)
-        operand = rpow(3) * WeightedExpression.exp_of(-(X * X))
-        scale = Fraction(sign * 2 ** (k + 1))
-    steps: list[ChainStep] = [left, DIFF] + [rpow(3), DIFF] * (k - 1)
-    return (apply_chain(steps, operand) * scale).as_polynomial()
-
-
-def _chain_one_step(spec: FamilySpec) -> Polynomial:
-    n = spec.n
-    kind = spec.kind
-    if n < 1:
-        raise ValueError("chain requires n >= 1")
-    if kind == "legendre":
-        steps: list[ChainStep] = [qpow(Fraction(2 - n, 2)), DIFF, qpow(Fraction(n, 2))] + [DIFF] * (n - 1)
-        result = apply_chain(steps, _wp(X_SQ_MINUS_1 ** (n - 1)))
-        return (result * Fraction(1, 2 ** (n - 1) * factorial(n))).as_polynomial()
-    if kind == "chebyshev-U":
-        steps = [qpow(Fraction(1 - n, 2)), DIFF, qpow(Fraction(n, 2))] + [DIFF] * (n - 1)
-        result = apply_chain(steps, qpow(Fraction(2 * n - 1, 2)))
-        return (result * Fraction(1, odd_double_factorial(2 * n - 1))).as_polynomial()
-    if kind == "chebyshev-T":
-        if n < 2:
-            raise ValueError("the chebyshev-T split form needs n >= 2")
-        steps = [qpow(Fraction(3 - n, 2)), DIFF, qpow(Fraction(n, 2))] + [DIFF] * (n - 1)
-        result = apply_chain(steps, qpow(Fraction(2 * n - 3, 2)))
-        return (result * Fraction(1, odd_double_factorial(2 * n - 3) * (n - 1))).as_polynomial()
-    if kind == "gegenbauer":
-        lam = spec.lam
-        scale = (
-            Fraction(2 ** (n - 1))
-            * pochhammer(lam, n - 1)
-            / (factorial(n) * pochhammer(n + 2 * lam - 1, n - 1))
-        )
-        steps = [qpow(Fraction(3 - n, 2) - lam), DIFF, qpow(Fraction(n, 2))] + [DIFF] * (n - 1)
-        result = apply_chain(steps, qpow(n + lam - Fraction(3, 2)))
-        return (result * scale).as_polynomial()
-    raise ValueError(f"family {kind!r} has no printed one-step-split form")
+    if variant not in ("h0-chain", "one-step-split"):
+        raise ValueError(f"unknown chain variant: {variant!r}")
+    if (spec.kind, variant) not in _CHAINS:
+        raise ValueError(f"family {spec.kind!r} has no printed {variant} form")
+    least, row = _CHAINS[spec.kind, variant]
+    if spec.n < least:
+        raise ValueError(f"the {variant} form of {spec.kind} needs n >= {least}")
+    left, middle, operand, scale = row(spec.n, spec)
+    return (apply_chain([left, DIFF, *middle], operand) * scale).as_polynomial()

@@ -9,16 +9,16 @@ the generators.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .algebra import ONE, Polynomial, RationalFunction, X, ZERO, integrate_rational, linear
+from .algebra import ONE, Polynomial, RationalFunction, X, ZERO, integrate_rational, nth_derivative
 from .families import (
     FamilySpec,
     X_SQ_MINUS_1,
     assoc_legendre_iterated,
-    factorial,
     generate_assoc_legendre,
     make_operator,
     oracle_recurrence,
@@ -56,6 +56,10 @@ class IdentityReport:
             InstanceResult(params, is_zero, None if is_zero else str(difference))
         )
 
+    def record(self, params: dict[str, str], ok: bool, discrepancy: str | None) -> None:
+        """Record an instance with its outcome; the discrepancy is kept only on failure."""
+        self.instances.append(InstanceResult(params, ok, None if ok else discrepancy))
+
     def summary(self) -> str:
         passed = sum(inst.ok for inst in self.instances)
         return f"{self.identity_id}: {passed}/{len(self.instances)} instances exact"
@@ -75,20 +79,14 @@ def _legendre(n: int) -> Polynomial:
     return oracle_recurrence(FamilySpec("legendre", n))
 
 
-def _nth_derivative(p: Polynomial, order: int) -> Polynomial:
-    for _ in range(order):
-        p = p.diff()
-    return p
-
-
 def check_eq31(n_max: int) -> IdentityReport:
     """(x^2-1) D^n (x^2-1)^(n-1) = n(n-1) D^(n-2) (x^2-1)^(n-1), with both sides
     vanishing at x = +-1."""
     report = IdentityReport("eq31")
     for n in range(2, n_max + 1):
         base = X_SQ_MINUS_1 ** (n - 1)
-        lhs = X_SQ_MINUS_1 * _nth_derivative(base, n)
-        rhs = _nth_derivative(base, n - 2) * (n * (n - 1))
+        lhs = X_SQ_MINUS_1 * nth_derivative(base, n)
+        rhs = nth_derivative(base, n - 2) * (n * (n - 1))
         report.add({"n": str(n)}, lhs - rhs)
         for point in (1, -1):
             report.add(
@@ -107,8 +105,8 @@ def check_remark_three_term(n_max: int) -> IdentityReport:
     report = IdentityReport("remark3term")
     for n in range(3, n_max + 1):
         base = X_SQ_MINUS_1 ** (n - 1)
-        lhs = X_SQ_MINUS_1 * _nth_derivative(base, n - 1) - X * _nth_derivative(base, n - 2) * 2
-        rhs = _nth_derivative(base, n - 3) * ((n + 1) * (n - 2))
+        lhs = X_SQ_MINUS_1 * nth_derivative(base, n - 1) - X * nth_derivative(base, n - 2) * 2
+        rhs = nth_derivative(base, n - 3) * ((n + 1) * (n - 2))
         report.add({"n": str(n)}, lhs - rhs)
     return report
 
@@ -144,8 +142,8 @@ def check_eq33_eq35(n_max: int) -> IdentityReport:
     for n in range(2, n_max + 1):
         pn, pm, pk = _legendre(n), _legendre(n - 1), _legendre(n - 2)
         scale = 2 ** (n - 1)
-        display33 = X_SQ_MINUS_1 * pm.diff() * (scale * factorial(n - 1))
-        display35 = (pn - X * pm) * (scale * factorial(n))
+        display33 = X_SQ_MINUS_1 * pm.diff() * (scale * math.factorial(n - 1))
+        display35 = (pn - X * pm) * (scale * math.factorial(n))
         report.add({"n": str(n), "step": "3.3 = 3.5"}, display33 - display35)
         # the elimination step inside (3.5)
         middle = (X * pm - pk) * (n - 1)
@@ -295,7 +293,7 @@ def remainder_term(n: int, h: Polynomial) -> WeightedExpression:
     left = qpow(Fraction(2 - n, 2)) * drift_factor
     steps: list[ChainStep] = [left, DIFF] + [qpow(Fraction(3, 2)), DIFF] * (n - 1)
     chain = apply_chain(steps, qpow(Fraction(1, 2)) / drift_factor)
-    target = WeightedExpression.from_polynomial(_legendre(n) * factorial(n))
+    target = WeightedExpression.from_polynomial(_legendre(n) * math.factorial(n))
     return target - chain
 
 
@@ -304,47 +302,36 @@ def legendre_operator_relation_holds(n: int, drift) -> bool:
     drift factorization; exact for every in-class drift."""
     op = make_operator(FamilySpec("legendre", n), RAISING)
     fac = factorize(op, drift)
-    operand = WeightedExpression.from_polynomial(_legendre(n - 1) * (2 ** (n - 1) * factorial(n - 1)))
+    operand = WeightedExpression.from_polynomial(_legendre(n - 1) * (2 ** (n - 1) * math.factorial(n - 1)))
     result = fac.apply(operand)
-    expected = _legendre(n) * (2 ** (n - 1) * factorial(n))
+    expected = _legendre(n) * (2 ** (n - 1) * math.factorial(n))
     return result.as_polynomial() == expected
-
-
-def _lagrange_in_lambda(points: Sequence[Fraction]) -> list[Polynomial]:
-    bases = []
-    for i, pi in enumerate(points):
-        numerator = ONE
-        denominator = Fraction(1)
-        for j, pj in enumerate(points):
-            if i != j:
-                numerator = numerator * linear(pj)
-                denominator *= pi - pj
-        bases.append(numerator * (1 / denominator))
-    return bases
 
 
 def remainder_expansion(n: int, h: Polynomial) -> list[Polynomial]:
     """Coefficients G_0..G_n of F[s*h] as a polynomial in the scale s.
 
-    The degree in s is at most n: each of the n derivative steps in the chain
-    can contribute one drift factor.  The expansion is recovered by exact
-    interpolation at s = 0..n and then confirmed at s = n+1, which proves the
-    degree bound for this instance.  Every G_j is a plain polynomial; G_0 is
+    Conjugating D by the drift factor e gives e D e^(-1) = D - s t with
+    t = h/(x^2-1), so the chain of ``remainder_term`` at drift s*h is
+    (x^2-1)^((2-n)/2) (D - s t) [(x^2-1)^(3/2) (D - s t)]^(n-1) (x^2-1)^(1/2).
+    It is evaluated in one pass on the list of s-coefficients, where D - s t
+    maps [c_0, ..., c_k] to [c_0', c_1' - t c_0, ..., c_k' - t c_(k-1), -t c_k].
+    Each of the n factors D - s t raises the degree in s by one, so the degree
+    bound n holds by construction.  Every G_j is a plain polynomial; G_0 is
     zero.
     """
-    points = [Fraction(i) for i in range(n + 1)]
-    values = [remainder_term(n, h * s).as_polynomial() for s in points]
-    coeffs: list[Polynomial] = [ZERO] * (n + 1)
-    for value, basis in zip(values, _lagrange_in_lambda(points)):
-        for j in range(n + 1):
-            coeffs[j] = coeffs[j] + value * basis.coefficient(j)
-    probe = Fraction(n + 1)
-    predicted = ZERO
-    for j in range(n + 1):
-        predicted = predicted + coeffs[j] * probe**j
-    if predicted != remainder_term(n, h * probe).as_polynomial():
-        raise AssertionError("remainder term is not polynomial of the expected degree in the drift scale")
-    return coeffs
+    if n < 2:
+        raise ValueError("the remainder term needs n >= 2")
+    t = WeightedExpression.from_rational(RationalFunction(h, X_SQ_MINUS_1))
+    zero = WeightedExpression.zero()
+    coeffs = [qpow(Fraction(1, 2))]
+    for weight in [qpow(Fraction(3, 2))] * (n - 1) + [qpow(Fraction(2 - n, 2))]:
+        lowered = [c.diff() for c in coeffs] + [zero]
+        shifted = [zero] + [t * c for c in coeffs]
+        coeffs = [weight * (a - b) for a, b in zip(lowered, shifted)]
+    expansion = [-c.as_polynomial() for c in coeffs]
+    expansion[0] = expansion[0] + _legendre(n) * math.factorial(n)
+    return expansion
 
 
 def remainder_linear_coefficients(n: int) -> list[Polynomial]:
@@ -358,9 +345,9 @@ def remainder_linear_coefficients(n: int) -> list[Polynomial]:
     for k in range(n - 1):
         linear_part = remainder_expansion(n, Polynomial.monomial(1, k))[1]
         for j, g in enumerate(gs):
-            falling = Fraction(factorial(k), factorial(k - j))
+            falling = Fraction(math.factorial(k), math.factorial(k - j))
             linear_part = linear_part - g * Polynomial.monomial(falling, k - j)
-        gs.append(linear_part * Fraction(1, factorial(k)))
+        gs.append(linear_part * Fraction(1, math.factorial(k)))
     return gs
 
 
@@ -382,51 +369,25 @@ def remainder_structure_report(
     """
     report = IdentityReport("remainder-structure")
     for n in n_values:
-        gs = remainder_linear_coefficients(n)
+        computed = remainder_linear_coefficients(n)[n - 2]
         claimed = X * (X_SQ_MINUS_1 ** (n - 2))
-        computed = gs[n - 2]
-        report.instances.append(
-            InstanceResult(
-                {"n": str(n), "claim": "top-derivative term = x (x^2-1)^(n-2) h^(n-2)"},
-                computed == claimed,
-                None if computed == claimed else f"computed coefficient {computed}",
-            )
-        )
         observed = claimed * Fraction(3 * n * n - 5 * n + 4, 2)
-        report.instances.append(
-            InstanceResult(
-                {
-                    "n": str(n),
-                    "observed": "top-derivative coefficient = (3n^2-5n+4)/2 x (x^2-1)^(n-2)",
-                },
-                computed == observed,
-                None if computed == observed else f"computed coefficient {computed}",
-            )
-        )
+        text = f"computed coefficient {computed}"
+        params = {"n": str(n), "claim": "top-derivative term = x (x^2-1)^(n-2) h^(n-2)"}
+        report.record(params, computed == claimed, text)
+        params = {"n": str(n), "observed": "top-derivative coefficient = (3n^2-5n+4)/2 x (x^2-1)^(n-2)"}
+        report.record(params, computed == observed, text)
         for h in drifts:
             expansion = remainder_expansion(n, h)
-            degree_nm1 = expansion[n - 1]
-            expected_power = X * (h ** (n - 1)) * ((-1) ** n * factorial(n - 1))
-            ok = degree_nm1 == expected_power
-            report.instances.append(
-                InstanceResult(
-                    {
-                        "n": str(n),
-                        "h": str(h),
-                        "claim": "top power term = (-1)^n (n-1)! x h^(n-1)",
-                    },
-                    ok,
-                    None
-                    if ok
-                    else f"computed degree-(n-1) part {degree_nm1}; actual top power h^n part {expansion[n]}",
-                )
+            claimed_power = X * (h ** (n - 1)) * ((-1) ** n * math.factorial(n - 1))
+            report.record(
+                {"n": str(n), "h": str(h), "claim": "top power term = (-1)^n (n-1)! x h^(n-1)"},
+                expansion[n - 1] == claimed_power,
+                f"computed degree-(n-1) part {expansion[n - 1]}; actual top power h^n part {expansion[n]}",
             )
-            observed_top = (h**n) * ((-1) ** (n - 1))
-            report.instances.append(
-                InstanceResult(
-                    {"n": str(n), "h": str(h), "observed": "top power term = (-1)^(n-1) h^n"},
-                    expansion[n] == observed_top,
-                    None if expansion[n] == observed_top else f"computed term {expansion[n]}",
-                )
+            report.record(
+                {"n": str(n), "h": str(h), "observed": "top power term = (-1)^(n-1) h^n"},
+                expansion[n] == (h**n) * ((-1) ** (n - 1)),
+                f"computed term {expansion[n]}",
             )
     return report

@@ -93,6 +93,20 @@ class TestVerify:
         assert payload["ok"] is True
         assert {r["id"] for r in payload["reports"]} == {"eq34", "eq33-35"}
 
+    @pytest.mark.parametrize("suite,n_max", [("eq31", "-5"), ("eq31", "-1"), ("factorization", "-1"), ("all", "-1")])
+    def test_negative_n_max_is_usage_error(self, capsys, suite, n_max):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--n-max", n_max)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("suite,n_max", [("eq31", "1"), ("eq31", "0"), ("eq34", "0"), ("assoc-relations", "0")])
+    def test_nothing_checked_fails(self, capsys, suite, n_max):
+        code, out, _ = run(capsys, "verify", "--suite", suite, "--n-max", n_max)
+        assert code == 1
+        assert "0/0 instances exact" in out
+        assert out.splitlines()[-1] == "FAIL"
+
     def test_unknown_suite_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["verify", "--suite", "everything", "--n-max", "5"])

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from ladderpoly.algebra import ONE, Polynomial, X, ZERO
-from ladderpoly.families import FamilySpec, X_SQ_MINUS_1, factorial, oracle_recurrence
+from ladderpoly.families import FamilySpec, X_SQ_MINUS_1, oracle_recurrence
 from ladderpoly.identities import (
     check_eq31,
     check_eq33_eq35,
@@ -104,6 +104,15 @@ class TestRemainderTerm:
             coeffs = remainder_expansion(n, X)
             assert len(coeffs) == n + 1
             assert coeffs[0] == ZERO
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_expansion_matches_remainder_term(self, n):
+        # the one-pass expansion against the chain evaluated at each scale s
+        for h in (ONE, X, X * X, *random_drifts(2, seed=n)):
+            expansion = remainder_expansion(n, h)
+            for s in range(n + 2):
+                total = sum((g * s**j for j, g in enumerate(expansion)), ZERO)
+                assert total == remainder_term(n, h * s).as_polynomial()
 
     def test_operator_relation_drift_independent(self):
         for n in (2, 5, 9):
