@@ -6,6 +6,15 @@ dense tuple of coefficients indexed by degree with no trailing zeros; the zero
 polynomial is the empty tuple.  A rational function keeps its denominator monic
 and coprime to the numerator, so equal functions have identical representations.
 
+A product scales each operand to integers by the lcm of its denominators,
+convolves ``int``s and makes one ``Fraction`` per output coefficient.  Long
+division updates one coefficient list in place, with no polynomial built per
+step.  Both wrap their results with ``Polynomial._trusted``, which skips
+coercion.  ``RationalFunction`` runs Euclid only when numerator and
+denominator are both nonconstant: a nonzero constant has no factor of
+positive degree, so such a pair is already coprime and dividing by the
+leading coefficient alone gives the canonical form.
+
 The module also provides partial-fraction decomposition and symbolic
 integration for rational functions whose denominators split into distinct
 rational linear factors.  That is exactly the class whose antiderivative is a
@@ -45,6 +54,19 @@ def _coerce_scalar(value: Scalar) -> Fraction:
     raise TypeError(f"not an exact scalar: {value!r}")
 
 
+def _stripped(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
+    end = len(coeffs)
+    while end and not coeffs[end - 1]:
+        end -= 1
+    return tuple(coeffs[:end])
+
+
+def _integer_form(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]:
+    """Integers n_k and a common denominator d with coeffs[k] == n_k / d."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
 @dataclass(frozen=True)
 class Polynomial:
     """Dense univariate polynomial; ``coeffs[k]`` is the degree-k coefficient."""
@@ -52,10 +74,14 @@ class Polynomial:
     coeffs: tuple[Fraction, ...] = ()
 
     def __post_init__(self) -> None:
-        cleaned = tuple(_coerce_scalar(c) for c in self.coeffs)
-        while cleaned and cleaned[-1] == 0:
-            cleaned = cleaned[:-1]
-        object.__setattr__(self, "coeffs", cleaned)
+        object.__setattr__(self, "coeffs", _stripped([_coerce_scalar(c) for c in self.coeffs]))
+
+    @classmethod
+    def _trusted(cls, coeffs: list[Fraction]) -> Polynomial:
+        """Wrap coefficients already known to be Fractions, skipping coercion."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "coeffs", _stripped(coeffs))
+        return poly
 
     @classmethod
     def of(cls, *coeffs: Scalar) -> Polynomial:
@@ -105,7 +131,7 @@ class Polynomial:
         merged = list(a)
         for i, c in enumerate(b):
             merged[i] += c
-        return Polynomial(tuple(merged))
+        return Polynomial._trusted(merged)
 
     __radd__ = __add__
 
@@ -119,22 +145,24 @@ class Polynomial:
         return -(self - other)
 
     def __neg__(self) -> Polynomial:
-        return Polynomial(tuple(-c for c in self.coeffs))
+        return Polynomial._trusted([-c for c in self.coeffs])
 
     def __mul__(self, other: Polynomial | Scalar) -> Polynomial:
         if isinstance(other, (int, Fraction)):
-            return Polynomial(tuple(c * other for c in self.coeffs))
+            return Polynomial._trusted([c * other for c in self.coeffs])
         if not isinstance(other, Polynomial):
             return NotImplemented
         if self.is_zero or other.is_zero:
             return ZERO
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(tuple(out))
+        a, a_den = _integer_form(self.coeffs)
+        b, b_den = _integer_form(other.coeffs)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        den = a_den * b_den
+        return Polynomial._trusted([Fraction(c, den) for c in out])
 
     __rmul__ = __mul__
 
@@ -155,14 +183,17 @@ class Polynomial:
         other = _as_poly(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        quotient = ZERO
-        remainder = self
-        while not remainder.is_zero and remainder.degree >= other.degree:
-            shift = remainder.degree - other.degree
-            factor = Polynomial.monomial(remainder.leading / other.leading, shift)
-            quotient = quotient + factor
-            remainder = remainder - factor * other
-        return quotient, remainder
+        divisor, top = other.coeffs, other.degree
+        if self.degree < top:
+            return ZERO, self
+        remainder = list(self.coeffs)
+        quotient = [Fraction(0)] * (self.degree - top + 1)
+        for k in reversed(range(len(quotient))):
+            q = quotient[k] = remainder[k + top] / divisor[top]
+            if q:
+                for j in range(top):
+                    remainder[k + j] -= q * divisor[j]
+        return Polynomial._trusted(quotient), Polynomial._trusted(remainder[:top])
 
     def __floordiv__(self, other: Polynomial) -> Polynomial:
         return divmod(self, other)[0]
@@ -179,11 +210,11 @@ class Polynomial:
         return acc
 
     def diff(self) -> Polynomial:
-        return Polynomial(tuple(c * k for k, c in enumerate(self.coeffs) if k > 0))
+        return Polynomial._trusted([c * k for k, c in enumerate(self.coeffs) if k > 0])
 
     def integral(self) -> Polynomial:
         """Antiderivative with integration constant fixed to zero."""
-        return Polynomial((Fraction(0),) + tuple(c / (k + 1) for k, c in enumerate(self.coeffs)))
+        return Polynomial._trusted([Fraction(0)] + [c / (k + 1) for k, c in enumerate(self.coeffs)])
 
     def compose(self, inner: Polynomial) -> Polynomial:
         """Substitution self(inner(x)), exact."""
@@ -235,8 +266,8 @@ def nth_derivative(p: Polynomial, order: int) -> Polynomial:
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic greatest common divisor by Euclid's algorithm."""
     while not b.is_zero:
-        a, b = b, (a % b).monic() if not (a % b).is_zero else ZERO
-    return a.monic() if not a.is_zero else ZERO
+        a, b = b, (a % b).monic()
+    return a.monic()
 
 
 @dataclass(frozen=True)
@@ -254,9 +285,10 @@ class RationalFunction:
         if num.is_zero:
             num, den = ZERO, ONE
         else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num, den = num // g, den // g
+            if num.degree > 0 and den.degree > 0:
+                g = poly_gcd(num, den)
+                if g.degree > 0:
+                    num, den = num // g, den // g
             lead = den.leading
             if lead != 1:
                 num, den = num * (1 / lead), den * (1 / lead)

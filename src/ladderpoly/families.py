@@ -298,13 +298,18 @@ def oracle_recurrence(spec: FamilySpec) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
+_FILL_STRIDE = 64
+
+
 @lru_cache(maxsize=None)
 def generate_ladder(spec: FamilySpec) -> Polynomial:
     """Generate the degree-n family polynomial by iterating its ladder operator.
 
     Scalar normalization follows the printed recursions, e.g.
     P_n = R_n P_(n-1) / n and C_n = -(1/n) C_n^+ C_(n-1).  Results are cached,
-    so a table of depth n costs n operator applications in total.
+    so a table of depth n costs n operator applications in total.  The cache
+    is filled bottom-up at every _FILL_STRIDE-th degree first, so a cold call
+    recurses at most _FILL_STRIDE levels deep, whatever n is.
     """
     n = spec.n
     kind = spec.kind
@@ -313,6 +318,8 @@ def generate_ladder(spec: FamilySpec) -> Polynomial:
             f"family {kind!r} has no polynomial ladder generation"
             + ("; use generate_assoc_legendre" if kind == "assoc-legendre" else "")
         )
+    for k in range(n % _FILL_STRIDE, n, _FILL_STRIDE):
+        generate_ladder(spec.with_n(k))
     if kind == "hermite":
         ground = WeightedExpression.exp_of(X * X * Fraction(-1, 2))
         if n == 0:

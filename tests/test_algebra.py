@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ladderpoly import algebra
 from ladderpoly.algebra import (
     IrreducibleFactorError,
     ONE,
@@ -106,6 +107,19 @@ class TestRationalFunction:
     def test_diff_quotient_rule(self):
         r = rf(ONE, X)
         assert r.diff() == rf(Polynomial.of(-1), X**2)
+
+    def test_constant_side_skips_gcd(self, monkeypatch):
+        p = Polynomial(tuple(Fraction(k * k - 40, k % 7 + 1) for k in range(61)))
+        q = Polynomial.of(3, -2, 5)
+        pairs = [(p, ONE), (ONE, q), (p, Polynomial.constant(4)), (Polynomial.constant(-6), q)]
+        expected = [rf(num, den) for num, den in pairs]
+
+        def no_gcd(a, b):
+            raise AssertionError(f"poly_gcd({a}, {b}) against a constant")
+
+        monkeypatch.setattr(algebra, "poly_gcd", no_gcd)
+        assert p.degree == 60
+        assert [rf(num, den) for num, den in pairs] == expected
 
 
 class TestRationalRoots:

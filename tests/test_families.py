@@ -1,3 +1,5 @@
+import inspect
+import sys
 from fractions import Fraction
 
 import pytest
@@ -126,6 +128,18 @@ class TestGenerateLadder:
         ]
         for s in cases:
             assert generate_ladder(s) == oracle_recurrence(s)
+
+    def test_cold_call_deeper_than_recursion_limit(self):
+        generate_ladder.cache_clear()
+        depth = len(inspect.stack(0))
+        limit = sys.getrecursionlimit()
+        n = depth + 250
+        sys.setrecursionlimit(depth + 200)
+        try:
+            generated = generate_ladder(spec("chebyshev-T", n))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert generated == oracle_recurrence(spec("chebyshev-T", n))
 
     def test_unsupported_kinds(self):
         with pytest.raises(ValueError):
