@@ -39,6 +39,9 @@ FACTORIZE_SPECS = {
     "oscillator-3d": ["--n", "1", "--ell", "1"],
 }
 
+#: The two radial families print no lowering operator.
+NO_LOWERING = ("coulomb-radial", "oscillator-3d")
+
 VERIFY_SUITES = ("oracle", "eq31", "remark3term", "eq34", "assoc-relations", "rodrigues", "all")
 
 
@@ -52,6 +55,10 @@ def _cases() -> dict[str, list[str]]:
         cases[f"verify {suite}"] = ["verify", "--suite", suite, "--n-max", "6", "--json"]
     for family, params in FACTORIZE_SPECS.items():
         cases[f"factorize {family}"] = ["factorize", "--family", family, *params, "--drift", "x^2+1", "--json"]
+        if family not in NO_LOWERING:
+            cases[f"factorize lowering {family}"] = [
+                "factorize", "--family", family, *params, "--direction", "lowering", "--drift", "x^2+1", "--json"
+            ]
     return cases
 
 
@@ -67,6 +74,14 @@ GOLDEN = {
     'factorize laguerre': 'f9b564827512559c57f28ab4025aca66d556e4ff4ef333b6439db14a6fe128cb',
     'factorize laguerre-radial': '59ad926248fc378db5b52b52c18f17e51a289f0cc437ec6fe3ab27e3b76530a5',
     'factorize legendre': '75903cf220bfc0a283aa95d61018dd7d292d9cb2b65f4e2b93621295cf41e487',
+    'factorize lowering assoc-legendre': 'd4f2d4395d17644c7033a8b874f7cfbc95bd8be6e6fa62093b3903a6b5dfc03f',
+    'factorize lowering chebyshev-T': '71bf046cc5ff1098ed7aefe1f3631786b94ce68adeedcea04d48adffeb7edb95',
+    'factorize lowering chebyshev-U': 'bc688fe7a57751b72353e0d2421437bfede9a0d1cfa605cf890a83050dceb42d',
+    'factorize lowering gegenbauer': '07b090a6ea1080de0ab3fc24adddc7a577b6e71d3ddab2a819613dfa63b3f1af',
+    'factorize lowering hermite': 'a1906e662740dda86d67a2449fd4c2a4a05d219a0e6e767a5d8558a6f804662b',
+    'factorize lowering laguerre': '11385d528bff57b6d939e6a4aba8c484212a2b7083a93d00cd3eea724da5830e',
+    'factorize lowering laguerre-radial': 'b4f0097a8fa5602838e8c497eb96adcc34afee1fcce4bbf803a57ccc44360c1b',
+    'factorize lowering legendre': '8ed6da1355442ba1addafaef40086d33ba40af655eb69ff1b9d52f12a9080248',
     'factorize oscillator-3d': '7e20eee80ef9930739592adfa6892836ed56b032225d68229b0a90907c95b2cf',
     'gen assoc-legendre m=2': '746925c2d74e78fdd1e4d06094e7e96dcd8d7efea79f80ef55874e4a79edef93',
     'gen chebyshev-T csv': 'c4fa4497b79dd09c50e2dc32a504e6262092d77e9feed80a9f3c5bcfdd475d77',
