@@ -18,7 +18,6 @@ from .families import (
     generate_assoc_legendre,
     generate_ladder,
     hermite_from_laguerre,
-    hermite_via_oscillator,
     make_operator,
     oracle_recurrence,
     rodrigues_chain,
@@ -80,7 +79,6 @@ __all__ = [
     "generate_assoc_legendre",
     "generate_ladder",
     "hermite_from_laguerre",
-    "hermite_via_oscillator",
     "identity_check",
     "integrate_rational",
     "make_operator",

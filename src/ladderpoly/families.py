@@ -8,13 +8,17 @@ classical three-term recurrences (`oracle_recurrence`).  The oracle path is
 ground truth for every other construction in the package and deliberately
 shares no code with the operator path.
 
-The printed formulas are kept as row tables, one row per family, each read by
-a single evaluator: ``_RECURRENCES`` holds (p_1, k -> (A_k, B_k, C_k)) for the
-recurrence p_(k+1) = (A_k x + B_k) p_k - C_k p_(k-1); ``_RODRIGUES`` holds
+The catalog is kept as row tables, one row per family, each read by a single
+evaluator: ``_OPERATORS`` holds the variable, the parameter, the least index
+and the printed raising and lowering a*D + b; ``_LADDERS`` holds the seeds,
+the operator index offset, the scale c_k and the ground weight of the step
+p_k = c_k R p_(k-1); ``_RECURRENCES`` holds (p_1, k -> (A_k, B_k, C_k)) for
+p_(k+1) = (A_k x + B_k) p_k - C_k p_(k-1); ``_RODRIGUES`` holds
 (1/w, w sigma^n, 1/K_n) for p_n = (1/(K_n w)) D^n (w sigma^n); ``_CHAINS``
 holds, per family and chain variant, the least n and the steps of the chain
-[left, D, *middle] applied to an operand.  Rows are functions of the index and
-the spec, so no weighted expression is built at import time.
+[left, D, *middle] applied to an operand.  ``KINDS`` and ``GENERATING_KINDS``
+are the keys of ``_OPERATORS`` and ``_LADDERS``.  Rows are functions of the
+index and the spec, so no weighted expression is built at import time.
 
 Square-root weights are expressed in the canonical (x - root) basis of the
 weighted module: ``qpow(e)`` below stands for (x^2-1)^e.  Formulas printed
@@ -32,46 +36,9 @@ from functools import lru_cache
 
 from .algebra import ONE, Polynomial, RationalFunction, X, nth_derivative
 from .ladder import DIFF, LOWERING, RAISING, LadderOperator, apply_chain
-from .weighted import WeightedExpression
-
-KINDS = (
-    "legendre",
-    "assoc-legendre",
-    "gegenbauer",
-    "chebyshev-T",
-    "chebyshev-U",
-    "laguerre",
-    "hermite",
-    "laguerre-radial",
-    "coulomb-radial",
-    "oscillator-3d",
-)
-
-RADIAL_KINDS = ("laguerre-radial", "coulomb-radial", "oscillator-3d")
-
-#: Families that generate polynomials by ladder iteration.
-GENERATING_KINDS = (
-    "legendre",
-    "gegenbauer",
-    "chebyshev-T",
-    "chebyshev-U",
-    "laguerre",
-    "hermite",
-    "laguerre-radial",
-)
+from .weighted import WeightedExpression, as_weighted
 
 X_SQ_MINUS_1 = Polynomial.of(-1, 0, 1)
-ONE_MINUS_X_SQ = Polynomial.of(1, 0, -1)
-
-#: Ratio of the raw oscillator iteration (x - D applied to exp(-x^2/2)) to the
-#: physicists' Hermite polynomials; determined empirically, and equal to one:
-#: the iteration reproduces H_n with no residual normalization.
-OSCILLATOR_HERMITE_SCALE = Fraction(1)
-
-#: Ratio of the m-iterated associated Legendre form to the definitional
-#: weight-times-derivative form in the canonical basis; measured once, equal
-#: to one.
-ASSOC_LEGENDRE_ITERATION_SCALE = Fraction(1)
 
 
 def qpow(exponent: Fraction | int) -> WeightedExpression:
@@ -109,6 +76,17 @@ def pochhammer(z: Fraction | int, k: int) -> Fraction:
     return out
 
 
+#: parameter -> (label, exact type, range test on (value, n), what a kind that
+#: needs it requires, what it is called where it is unexpected).  An int is
+#: accepted for a Fraction parameter; a bool, a float or any other type is not.
+_PARAMETERS = {
+    "m": ("m", int, lambda m, n: 0 <= m <= n, "an order m with 0 <= m <= n", "order m"),
+    "lam": ("lambda", Fraction, lambda lam, n: lam != 0, "a nonzero rational parameter", "lambda parameter"),
+    "alpha": ("alpha", Fraction, lambda alpha, n: alpha > -1, "a rational alpha > -1", "alpha parameter"),
+    "ell": ("ell", int, lambda ell, n: ell >= 0, "an integer ell >= 0", "ell parameter"),
+}
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """A family member: the kind, its index n, and any family parameters."""
@@ -121,136 +99,111 @@ class FamilySpec:
     ell: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
+        if self.kind not in _OPERATORS:
             raise ValueError(f"unknown family kind: {self.kind!r}")
         if not isinstance(self.n, int) or self.n < 0:
             raise ValueError("index n must be a nonnegative integer")
-        if self.kind == "assoc-legendre":
-            if self.m is None or not 0 <= self.m <= self.n:
-                raise ValueError("assoc-legendre requires an order m with 0 <= m <= n")
-        elif self.m is not None:
-            raise ValueError(f"{self.kind} takes no order m")
-        if self.kind == "gegenbauer":
-            if self.lam is None or Fraction(self.lam) == 0:
-                raise ValueError("gegenbauer requires a nonzero rational parameter")
-            object.__setattr__(self, "lam", Fraction(self.lam))
-        elif self.lam is not None:
-            raise ValueError(f"{self.kind} takes no lambda parameter")
-        if self.kind in ("laguerre", "laguerre-radial"):
-            if self.alpha is None or Fraction(self.alpha) <= -1:
-                raise ValueError(f"{self.kind} requires a rational alpha > -1")
-            object.__setattr__(self, "alpha", Fraction(self.alpha))
-        elif self.alpha is not None:
-            raise ValueError(f"{self.kind} takes no alpha parameter")
-        if self.kind in ("coulomb-radial", "oscillator-3d"):
-            if self.ell is None or self.ell < 0:
-                raise ValueError(f"{self.kind} requires an integer ell >= 0")
-        elif self.ell is not None:
-            raise ValueError(f"{self.kind} takes no ell parameter")
+        for name, (_, exact, in_range, requires, called) in _PARAMETERS.items():
+            value = getattr(self, name)
+            if name == _OPERATORS[self.kind][1]:
+                if not isinstance(value, (int, exact)) or isinstance(value, bool) or not in_range(value, self.n):
+                    raise ValueError(f"{self.kind} requires {requires}")
+                object.__setattr__(self, name, exact(value))
+            elif value is not None:
+                raise ValueError(f"{self.kind} takes no {called}")
 
     @property
     def var(self) -> str:
-        return "r" if self.kind in RADIAL_KINDS else "x"
+        return _OPERATORS[self.kind][0]
 
     def with_n(self, n: int) -> FamilySpec:
         return FamilySpec(self.kind, n, self.alpha, self.lam, self.m, self.ell)
 
     def params(self) -> dict[str, str]:
-        out: dict[str, str] = {}
-        if self.alpha is not None:
-            out["alpha"] = str(self.alpha)
-        if self.lam is not None:
-            out["lambda"] = str(self.lam)
-        if self.m is not None:
-            out["m"] = str(self.m)
-        if self.ell is not None:
-            out["ell"] = str(self.ell)
-        return out
+        name = _OPERATORS[self.kind][1]
+        return {_PARAMETERS[name][0]: str(getattr(self, name))} if name else {}
 
 
-def _wp(p: Polynomial) -> WeightedExpression:
-    return WeightedExpression.from_polynomial(p)
+#: kind -> (variable, the one parameter it requires, least n, raising row,
+#: lowering row).  A row maps (n, spec) to the printed (a, b, form, name) of
+#: a*D + b; None means the family prints no such operator.  ``form`` is the
+#: structural shape, not the index direction: several families print their
+#: index-lowering operator in the plain a*D + b shape.  The assoc-legendre pair is the canonical-basis transcription of the
+#: m-raising/lowering pair: with Q = (x-1)^(1/2) (x+1)^(1/2), Q^2 = +(x^2-1),
+#: opposite in sign to ((1-x^2)^(1/2))^2, and its signs are the unique ones
+#: making R_m P_n^m = P_n^(m+1) and L_m P_n^(m+1) = (n-m)(n+m+1) P_n^m exact.
+_OPERATORS = {
+    "legendre": (
+        "x", None, 0,
+        lambda n, s: (X_SQ_MINUS_1, X * n, RAISING, f"R_{n}"),
+        lambda n, s: (X_SQ_MINUS_1, X * n, LOWERING, f"L_{n}"),
+    ),
+    "assoc-legendre": (
+        "x", "m", 0,
+        lambda n, s: (qpow(Fraction(1, 2)), qpow(Fraction(-1, 2)) * X * -s.m, RAISING, f"R_m[m={s.m}]"),
+        lambda n, s: (-qpow(Fraction(1, 2)), qpow(Fraction(-1, 2)) * X * s.m, LOWERING, f"L_m[m={s.m}]"),
+    ),
+    "gegenbauer": (  # C+_n maps C_(n-1) to -n C_n
+        "x", "lam", 0,
+        lambda n, s: (-X_SQ_MINUS_1, X * (-(n - 1 + 2 * s.lam)), RAISING, f"C+_{n}"),
+        lambda n, s: (-X_SQ_MINUS_1, X * n, RAISING, f"C-_{n}"),
+    ),
+    "chebyshev-T": (
+        "x", None, 1,
+        lambda n, s: (X_SQ_MINUS_1 * Fraction(1, n), X, RAISING, f"T+_{n}"),
+        lambda n, s: (-X_SQ_MINUS_1 * Fraction(1, n), X, RAISING, f"T-_{n}"),
+    ),
+    "chebyshev-U": (  # U+_n maps U_n to (n+1) U_(n+1)
+        "x", None, 0,
+        lambda n, s: (X_SQ_MINUS_1, X * (n + 2), RAISING, f"U+_{n}"),
+        lambda n, s: (-X_SQ_MINUS_1, X * n, RAISING, f"U-_{n}"),
+    ),
+    "laguerre": (  # A+_n = x D - x + alpha + n maps L_(n-1) to n L_n
+        "x", "alpha", 0,
+        lambda n, s: (X, Polynomial.of(s.alpha + n, -1), RAISING, f"A+_{n}"),
+        lambda n, s: (-X, n, RAISING, f"A-_{n}"),
+    ),
+    "hermite": (
+        "x", None, 0,
+        lambda n, s: (-1, X, RAISING, "a+"),
+        lambda n, s: (1, X, RAISING, "a-"),
+    ),
+    "laguerre-radial": (  # A+_n = (r/2) D + n + alpha - r^2
+        "r", "alpha", 0,
+        lambda n, s: (X * Fraction(1, 2), Polynomial.of(s.alpha + n, 0, -1), RAISING, f"A+_{n}"),
+        lambda n, s: (X * Fraction(-1, 2), n, RAISING, f"A-_{n}"),
+    ),
+    "coulomb-radial": (
+        "r", "ell", 0,
+        lambda n, s: (1, RationalFunction(Polynomial.constant(s.ell + 1), X), RAISING, f"A+_l[{s.ell}]"),
+        None,
+    ),
+    "oscillator-3d": (
+        "r", "ell", 0,
+        lambda n, s: (1, RationalFunction(Polynomial.of(s.ell + 1, 0, Fraction(1, 2)), X), RAISING, f"a+_l[{s.ell}]"),
+        None,
+    ),
+}
+
+KINDS = tuple(_OPERATORS)
 
 
 def make_operator(spec: FamilySpec, direction: str) -> LadderOperator:
     """The family's printed ladder operator with exact coefficients.
 
-    ``direction`` is the index direction (raising moves the family index up).
-    Families whose index-lowering operator is printed in the plain a*D + b
-    shape get form="raising"; the composed -D(a .) + b shape gets
-    form="lowering".
+    ``direction`` is the index direction (raising moves the family index up);
+    the operator's ``form`` is its printed shape, as in ``_OPERATORS``.
     """
     if direction not in (RAISING, LOWERING):
         raise ValueError(f"unknown direction: {direction!r}")
-    n = spec.n
-    kind = spec.kind
-    if kind == "legendre":
-        # R_n = (x^2-1) D + n x ; L_n = -D (x^2-1) + n x
-        form = RAISING if direction == RAISING else LOWERING
-        name = ("R_%d" if direction == RAISING else "L_%d") % n
-        return LadderOperator(_wp(X_SQ_MINUS_1), _wp(X * n), form, name)
-    if kind == "assoc-legendre":
-        # Canonical-basis transcription of the m-raising/lowering pair.  With
-        # Q = (x-1)^(1/2) (x+1)^(1/2) one has Q^2 = +(x^2-1), opposite in sign
-        # to ((1-x^2)^(1/2))^2; the empirically determined sign choices below
-        # are the unique ones making R_m P_n^m = P_n^(m+1) and
-        # L_m P_n^(m+1) = (n-m)(n+m+1) P_n^m exact in this basis.
-        m = spec.m
-        q = qpow(Fraction(1, 2))
-        mx_over_q = WeightedExpression(
-            RationalFunction(X * m, X_SQ_MINUS_1),
-            ((Fraction(1), Fraction(1, 2)), (Fraction(-1), Fraction(1, 2))),
-        )
-        if direction == RAISING:
-            return LadderOperator(q, -mx_over_q, RAISING, f"R_m[m={m}]")
-        return LadderOperator(-q, mx_over_q, LOWERING, f"L_m[m={m}]")
-    if kind == "gegenbauer":
-        lam = spec.lam
-        if direction == RAISING:
-            # maps C_(n-1) to -n C_n
-            b = X * (-(n - 1 + 2 * lam))
-            return LadderOperator(_wp(ONE_MINUS_X_SQ), _wp(b), RAISING, f"C+_{n}")
-        return LadderOperator(_wp(ONE_MINUS_X_SQ), _wp(X * n), RAISING, f"C-_{n}")
-    if kind == "chebyshev-U":
-        if direction == RAISING:
-            # maps U_n to (n+1) U_(n+1)
-            return LadderOperator(_wp(X_SQ_MINUS_1), _wp(X * (n + 2)), RAISING, f"U+_{n}")
-        return LadderOperator(_wp(ONE_MINUS_X_SQ), _wp(X * n), RAISING, f"U-_{n}")
-    if kind == "chebyshev-T":
-        if n < 1:
-            raise ValueError("chebyshev-T ladder operators require index m >= 1")
-        a = X_SQ_MINUS_1 * Fraction(1, n) if direction == RAISING else ONE_MINUS_X_SQ * Fraction(1, n)
-        return LadderOperator(_wp(a), _wp(X), RAISING, f"T{'+' if direction == RAISING else '-'}_{n}")
-    if kind == "laguerre":
-        alpha = spec.alpha
-        if direction == RAISING:
-            # A+ = x D - x + alpha + n, maps L_(n-1) to n L_n
-            return LadderOperator(_wp(X), _wp(Polynomial.of(alpha + n, -1)), RAISING, f"A+_{n}")
-        return LadderOperator(_wp(-X), _wp(Polynomial.constant(n)), RAISING, f"A-_{n}")
-    if kind == "hermite":
-        if direction == RAISING:
-            return LadderOperator(_wp(Polynomial.constant(-1)), _wp(X), RAISING, "a+")
-        return LadderOperator(_wp(ONE), _wp(X), RAISING, "a-")
-    if kind == "laguerre-radial":
-        alpha = spec.alpha
-        if direction == RAISING:
-            # A+ = (r/2) D + n + alpha - r^2
-            b = Polynomial.of(alpha + n, 0, -1)
-            return LadderOperator(_wp(X * Fraction(1, 2)), _wp(b), RAISING, f"A+_{n}", var="r")
-        return LadderOperator(_wp(X * Fraction(-1, 2)), _wp(Polynomial.constant(n)), RAISING, f"A-_{n}", var="r")
-    if kind == "coulomb-radial":
-        if direction == LOWERING:
-            raise ValueError("coulomb-radial has no printed lowering operator")
-        b = WeightedExpression.from_rational(RationalFunction(Polynomial.constant(spec.ell + 1), X))
-        return LadderOperator(WeightedExpression.one(), b, RAISING, f"A+_l[{spec.ell}]", var="r")
-    if kind == "oscillator-3d":
-        if direction == LOWERING:
-            raise ValueError("oscillator-3d has no printed lowering operator")
-        b = WeightedExpression.from_rational(
-            RationalFunction(Polynomial.of(spec.ell + 1, 0, Fraction(1, 2)), X)
-        )
-        return LadderOperator(WeightedExpression.one(), b, RAISING, f"a+_l[{spec.ell}]", var="r")
-    raise ValueError(f"unknown family kind: {kind!r}")
+    var, _, least, raising, lowering = _OPERATORS[spec.kind]
+    if spec.n < least:
+        raise ValueError(f"{spec.kind} ladder operators require index m >= {least}")
+    row = raising if direction == RAISING else lowering
+    if row is None:
+        raise ValueError(f"{spec.kind} has no printed {direction} operator")
+    a, b, form, name = row(spec.n, spec)
+    return LadderOperator(as_weighted(a), as_weighted(b), form, name, var)
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +251,26 @@ def oracle_recurrence(spec: FamilySpec) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
+#: kind -> (seeds, operator index offset, k -> c_k, ground exponent or None):
+#: p_k = seeds[k] for k < len(seeds), else p_k = c_k R_(k+offset) p_(k-1), where
+#: R is the kind's raising operator.  With a ground exponent g, R acts on the
+#: weighted member p_(k-1) exp(g) and the weight is divided out afterwards:
+#: Hermite's oscillator a+ = x - D maps H_(n-1) exp(-x^2/2) to H_n exp(-x^2/2),
+#: with no residual normalization.  The scales follow the printed recursions,
+#: e.g. P_n = R_n P_(n-1) / n and C_n = -(1/n) C_n^+ C_(n-1).
+_LADDERS = {
+    "legendre": ((ONE,), 0, lambda k: Fraction(1, k), None),
+    "gegenbauer": ((ONE,), 0, lambda k: Fraction(-1, k), None),
+    "chebyshev-T": ((ONE, X), -1, lambda k: 1, None),
+    "chebyshev-U": ((ONE,), -1, lambda k: Fraction(1, k), None),
+    "laguerre": ((ONE,), 0, lambda k: Fraction(1, k), None),
+    "hermite": ((ONE,), 0, lambda k: 1, X * X * Fraction(-1, 2)),
+    "laguerre-radial": ((ONE,), 0, lambda k: Fraction(1, k), None),
+}
+
+#: Families that generate polynomials by ladder iteration.
+GENERATING_KINDS = tuple(_LADDERS)
+
 _FILL_STRIDE = 64
 
 
@@ -305,47 +278,28 @@ _FILL_STRIDE = 64
 def generate_ladder(spec: FamilySpec) -> Polynomial:
     """Generate the degree-n family polynomial by iterating its ladder operator.
 
-    Scalar normalization follows the printed recursions, e.g.
-    P_n = R_n P_(n-1) / n and C_n = -(1/n) C_n^+ C_(n-1).  Results are cached,
-    so a table of depth n costs n operator applications in total.  The cache
-    is filled bottom-up at every _FILL_STRIDE-th degree first, so a cold call
+    Each step follows the kind's ``_LADDERS`` row.  Results are cached, so a
+    table of depth n costs n operator applications in total.  The cache is
+    filled bottom-up at every _FILL_STRIDE-th degree first, so a cold call
     recurses at most _FILL_STRIDE levels deep, whatever n is.
     """
     n = spec.n
-    kind = spec.kind
-    if kind not in GENERATING_KINDS:
-        raise ValueError(
-            f"family {kind!r} has no polynomial ladder generation"
-            + ("; use generate_assoc_legendre" if kind == "assoc-legendre" else "")
-        )
+    if spec.kind not in _LADDERS:
+        hint = "; use generate_assoc_legendre" if spec.kind == "assoc-legendre" else ""
+        raise ValueError(f"family {spec.kind!r} has no polynomial ladder generation{hint}")
+    seeds, offset, scale, ground = _LADDERS[spec.kind]
+    if n < len(seeds):
+        return seeds[n]
     for k in range(n % _FILL_STRIDE, n, _FILL_STRIDE):
         generate_ladder(spec.with_n(k))
-    if kind == "hermite":
-        ground = WeightedExpression.exp_of(X * X * Fraction(-1, 2))
-        if n == 0:
-            return ((ground / ground) * OSCILLATOR_HERMITE_SCALE).as_polynomial()
-        previous = generate_ladder(spec.with_n(n - 1)) * ground
-        raised = make_operator(spec, RAISING).apply(previous)
-        return (raised / ground).as_polynomial()
-    if kind == "chebyshev-T":
-        if n <= 1:
-            return ONE if n == 0 else X
-        below = WeightedExpression.from_polynomial(generate_ladder(spec.with_n(n - 1)))
-        return make_operator(spec.with_n(n - 1), RAISING).apply(below).as_polynomial()
-    if n == 0:
-        return ONE
     below = WeightedExpression.from_polynomial(generate_ladder(spec.with_n(n - 1)))
-    if kind == "chebyshev-U":
-        raised = make_operator(spec.with_n(n - 1), RAISING).apply(below)
-        return (raised * Fraction(1, n)).as_polynomial()
-    scale = Fraction(-1, n) if kind == "gegenbauer" else Fraction(1, n)
-    raised = make_operator(spec.with_n(n), RAISING).apply(below)
-    return (raised * scale).as_polynomial()
-
-
-def hermite_via_oscillator(n: int) -> Polynomial:
-    """H_n from n application of the oscillator raising operator to exp(-x^2/2)."""
-    return generate_ladder(FamilySpec("hermite", n))
+    raising = make_operator(spec.with_n(n + offset), RAISING)
+    if ground is None:
+        raised = raising.apply(below)
+    else:
+        weight = WeightedExpression.exp_of(ground)
+        raised = raising.apply(below * weight) / weight
+    return raised.as_polynomial() * scale(n)
 
 
 def hermite_from_laguerre(n: int, parity: str) -> Polynomial:
@@ -363,18 +317,11 @@ def hermite_from_laguerre(n: int, parity: str) -> Polynomial:
 def generate_assoc_legendre(n: int, m: int) -> WeightedExpression:
     """P_n^m in the canonical basis: (x^2-1)^(m/2) times the m-th derivative of P_n.
 
-    Also rebuilds the same function by iterating the m-raising operator from
-    P_n and checks the two agree up to ASSOC_LEGENDRE_ITERATION_SCALE.
+    ``assoc_legendre_iterated`` builds the same function from the m-raising
+    operators; ``identities.check_assoc_relations`` checks the two agree.
     """
-    spec = FamilySpec("assoc-legendre", n, m=m)
-    definitional = qpow(Fraction(m, 2)) * nth_derivative(oracle_recurrence(FamilySpec("legendre", n)), m)
-    iterated = assoc_legendre_iterated(n, m)
-    ratio = iterated.scalar_ratio(definitional)
-    if ratio != ASSOC_LEGENDRE_ITERATION_SCALE:
-        raise AssertionError(
-            f"m-iterated form of P_{n}^{m} differs from the definitional form by {ratio}"
-        )
-    return definitional
+    FamilySpec("assoc-legendre", n, m=m)  # rejects any m outside 0..n
+    return qpow(Fraction(m, 2)) * nth_derivative(oracle_recurrence(FamilySpec("legendre", n)), m)
 
 
 def assoc_legendre_iterated(n: int, m: int) -> WeightedExpression:
@@ -463,7 +410,7 @@ _CHAINS = {
     ("chebyshev-T", "h0-chain"): (2, lambda n, s: (
         qpow(Fraction(3 - n, 2)),
         [qpow(Fraction(3, 2)), DIFF] * (n - 2),
-        _wp(X) * qpow(Fraction(1, 2)),
+        qpow(Fraction(1, 2)) * X,
         Fraction(1, math.factorial(n - 1)),
     )),
     ("gegenbauer", "h0-chain"): (1, lambda n, s: (

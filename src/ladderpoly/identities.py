@@ -201,8 +201,7 @@ def check_assoc_relations(n_max: int) -> IdentityReport:
             raised = make_operator(spec, RAISING).apply(forms[m])
             target = forms[m + 1] if m + 1 <= n else WeightedExpression.zero()
             report.add({"n": str(n), "m": str(m), "relation": "raising"}, raised - target)
-            source = forms[m + 1] if m + 1 <= n else WeightedExpression.zero()
-            lowered = make_operator(spec, LOWERING).apply(source)
+            lowered = make_operator(spec, LOWERING).apply(target)
             expected = forms[m] * Fraction((n - m) * (n + m + 1))
             report.add({"n": str(n), "m": str(m), "relation": "lowering"}, lowered - expected)
     return report

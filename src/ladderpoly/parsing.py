@@ -10,7 +10,8 @@ Grammar (whitespace-insensitive):
 
 Integers are unsigned digit runs; rationals are written with '/' (ordinary
 division).  The variable is ``x`` or ``r``.  Exponents are nonnegative
-integers, capped to keep inputs sane.  The result is a Polynomial whenever the
+integers, capped to keep inputs sane, and parentheses nest at most MAX_NESTING
+deep, far inside the recursion limit.  The result is a Polynomial whenever the
 denominator reduces to one, otherwise a RationalFunction.
 """
 
@@ -21,6 +22,7 @@ from fractions import Fraction
 from .algebra import Polynomial, RationalFunction, X, as_rational_function
 
 MAX_EXPONENT = 512
+MAX_NESTING = 100
 
 VARIABLES = ("x", "r")
 
@@ -37,6 +39,7 @@ class _Parser:
     def __init__(self, source: str):
         self.source = source
         self.pos = 0
+        self.depth = 0
 
     def skip_ws(self) -> None:
         while self.pos < len(self.source) and self.source[self.pos].isspace():
@@ -107,9 +110,13 @@ class _Parser:
     def atom(self) -> RationalFunction:
         ch = self.peek()
         if ch == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", self.pos)
             self.take()
+            self.depth += 1
             value = self.expr()
             self.expect(")")
+            self.depth -= 1
             return value
         if ch.isdigit():
             return as_rational_function(Fraction(self.integer("number")))

@@ -156,6 +156,13 @@ class TestFactorize:
         )
         assert code == 2
 
+    def test_deeply_nested_drift_is_usage_error(self, capsys):
+        nested = "(" * 3000 + "x" + ")" * 3000
+        code, out, err = run(capsys, "factorize", "--family", "legendre", "--n", "2", "--drift", nested)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: parentheses nested deeper than")
+
     def test_parse_error_position(self, capsys):
         code, _, err = run(capsys, "factorize", "--family", "legendre", "--n", "2", "--drift", "x +")
         assert code == 2

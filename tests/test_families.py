@@ -6,15 +6,12 @@ import pytest
 
 from ladderpoly.algebra import ONE, Polynomial, RationalFunction, X, ZERO
 from ladderpoly.families import (
-    ASSOC_LEGENDRE_ITERATION_SCALE,
     FamilySpec,
-    OSCILLATOR_HERMITE_SCALE,
     X_SQ_MINUS_1,
     assoc_legendre_iterated,
     generate_assoc_legendre,
     generate_ladder,
     hermite_from_laguerre,
-    hermite_via_oscillator,
     make_operator,
     oracle_recurrence,
     qpow,
@@ -46,6 +43,24 @@ class TestFamilySpec:
             FamilySpec("legendre", 2, alpha=Fraction(1))
         with pytest.raises(ValueError):
             FamilySpec("coulomb-radial", 1, ell=-1)
+
+    @pytest.mark.parametrize("kind,params", [
+        ("oscillator-3d", {"ell": 1.5}),
+        ("oscillator-3d", {"ell": Fraction(1, 2)}),
+        ("coulomb-radial", {"ell": True}),
+        ("assoc-legendre", {"m": Fraction(1, 2)}),
+        ("assoc-legendre", {"m": 1.0}),
+        ("laguerre", {"alpha": 0.1}),
+        ("laguerre-radial", {"alpha": "1/2"}),
+        ("gegenbauer", {"lam": 0.5}),
+    ])
+    def test_inexact_parameters_rejected(self, kind, params):
+        with pytest.raises(ValueError, match=f"^{kind} requires "):
+            FamilySpec(kind, 2, **params)
+
+    def test_integer_parameters_become_fractions(self):
+        assert type(FamilySpec("laguerre", 2, alpha=1).alpha) is Fraction
+        assert type(FamilySpec("gegenbauer", 2, lam=2).lam) is Fraction
 
     def test_radial_var(self):
         assert FamilySpec("laguerre-radial", 1, alpha=Fraction(0)).var == "r"
@@ -221,15 +236,14 @@ class TestHermiteReductions:
             assert hermite_from_laguerre(n, "odd") == oracle_recurrence(spec("hermite", 2 * n + 1))
 
     def test_oscillator_iteration(self):
-        assert hermite_via_oscillator(0) == ONE
-        assert hermite_via_oscillator(1) == X * 2
-        assert hermite_via_oscillator(2) == Polynomial.of(-2, 0, 4)
+        assert generate_ladder(spec("hermite", 0)) == ONE
+        assert generate_ladder(spec("hermite", 1)) == X * 2
+        assert generate_ladder(spec("hermite", 2)) == Polynomial.of(-2, 0, 4)
 
     def test_oscillator_scale_is_documented_constant(self):
         # the raw iteration needs no residual normalization
-        assert OSCILLATOR_HERMITE_SCALE == 1
         for n in range(9):
-            assert hermite_via_oscillator(n) == oracle_recurrence(spec("hermite", n))
+            assert generate_ladder(spec("hermite", n)) == oracle_recurrence(spec("hermite", n))
 
 
 class TestAssocLegendre:
@@ -245,12 +259,11 @@ class TestAssocLegendre:
             assert w.as_polynomial() == oracle_recurrence(spec("legendre", n))
 
     def test_iterated_matches_definitional(self):
-        assert ASSOC_LEGENDRE_ITERATION_SCALE == 1
         for n in range(1, 8):
             for m in range(n + 1):
                 definitional = generate_assoc_legendre(n, m)
                 ratio = assoc_legendre_iterated(n, m).scalar_ratio(definitional)
-                assert ratio == ASSOC_LEGENDRE_ITERATION_SCALE
+                assert ratio == 1
 
     def test_sign_convention_unique(self):
         # flipping the sign of either coefficient of the catalog m-raising

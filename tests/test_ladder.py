@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ladderpoly.algebra import ONE, Polynomial, RationalFunction, X
-from ladderpoly.families import FamilySpec, make_operator, oracle_recurrence, qpow
+from ladderpoly.families import FamilySpec, generate_ladder, make_operator, oracle_recurrence, qpow
 from ladderpoly.ladder import (
     DIFF,
     LOWERING,
@@ -16,6 +16,7 @@ from ladderpoly.ladder import (
     factorize,
     verify_factorization,
 )
+from ladderpoly.parsing import parse_expression
 from ladderpoly.verify import random_drifts, representative_operators, standard_testers
 from ladderpoly.weighted import WeightedExpression
 
@@ -52,6 +53,14 @@ class TestApplyOperator:
 
 
 class TestFactorize:
+    def test_readme_quick_start(self):
+        spec = FamilySpec("legendre", 4)
+        assert str(generate_ladder(spec)) == "35/8*x^4 - 15/4*x^2 + 3/8"
+        op = make_operator(spec, RAISING)
+        assert str(op) == "R_4 = (x^2 - 1)*D + 4*x"
+        fac = factorize(op, parse_expression("x^2 + 1"))
+        assert str(fac.g2) == "(x^4 - 2*x^2 + 1) * exp(-1/3*x^3 - x)"
+
     def test_legendre_profile(self):
         for n in (1, 2, 3, 5):
             op = make_operator(FamilySpec("legendre", n), RAISING)

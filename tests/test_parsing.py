@@ -4,7 +4,7 @@ import pytest
 
 from ladderpoly.algebra import ONE, Polynomial, RationalFunction, X
 from ladderpoly.families import FamilySpec, oracle_recurrence
-from ladderpoly.parsing import MAX_EXPONENT, ParseError, parse_expression
+from ladderpoly.parsing import MAX_EXPONENT, MAX_NESTING, ParseError, parse_expression
 
 
 class TestGrammar:
@@ -65,6 +65,17 @@ class TestErrors:
     def test_division_by_zero(self):
         with pytest.raises(ParseError):
             parse_expression("1/(x - x)")
+
+    def test_nesting_limit(self):
+        assert parse_expression("(" * MAX_NESTING + "x" + ")" * MAX_NESTING) == X
+        deeper = " (" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1)
+        with pytest.raises(ParseError) as err:
+            parse_expression(deeper)
+        assert err.value.position == 2 * MAX_NESTING + 1
+
+    def test_deep_nesting_is_a_parse_error(self):
+        with pytest.raises(ParseError):
+            parse_expression("(" * 3000 + "x" + ")" * 3000)
 
     def test_empty_input(self):
         with pytest.raises(ParseError):
