@@ -126,12 +126,11 @@ class FamilySpec:
 
 #: kind -> (variable, the one parameter it requires, least n, raising row,
 #: lowering row).  A row maps (n, spec) to the printed (a, b, form, name) of
-#: a*D + b; None means the family prints no such operator.  ``form`` is the
-#: structural shape, not the index direction: several families print their
-#: index-lowering operator in the plain a*D + b shape.  The assoc-legendre pair is the canonical-basis transcription of the
-#: m-raising/lowering pair: with Q = (x-1)^(1/2) (x+1)^(1/2), Q^2 = +(x^2-1),
-#: opposite in sign to ((1-x^2)^(1/2))^2, and its signs are the unique ones
-#: making R_m P_n^m = P_n^(m+1) and L_m P_n^(m+1) = (n-m)(n+m+1) P_n^m exact.
+#: a*D + b, None where the family prints no such operator.  The assoc-legendre
+#: pair is the canonical-basis transcription of the m-raising/lowering pair:
+#: with Q = (x-1)^(1/2) (x+1)^(1/2), Q^2 = +(x^2-1), opposite in sign to
+#: ((1-x^2)^(1/2))^2, and its signs are the unique ones making
+#: R_m P_n^m = P_n^(m+1) and L_m P_n^(m+1) = (n-m)(n+m+1) P_n^m exact.
 _OPERATORS = {
     "legendre": (
         "x", None, 0,
@@ -192,7 +191,7 @@ def make_operator(spec: FamilySpec, direction: str) -> LadderOperator:
     """The family's printed ladder operator with exact coefficients.
 
     ``direction`` is the index direction (raising moves the family index up);
-    the operator's ``form`` is its printed shape, as in ``_OPERATORS``.
+    the operator's ``form`` is its printed shape (see ``LadderOperator``).
     """
     if direction not in (RAISING, LOWERING):
         raise ValueError(f"unknown direction: {direction!r}")

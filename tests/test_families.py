@@ -44,19 +44,19 @@ class TestFamilySpec:
         with pytest.raises(ValueError):
             FamilySpec("coulomb-radial", 1, ell=-1)
 
-    @pytest.mark.parametrize("kind,params", [
-        ("oscillator-3d", {"ell": 1.5}),
-        ("oscillator-3d", {"ell": Fraction(1, 2)}),
-        ("coulomb-radial", {"ell": True}),
-        ("assoc-legendre", {"m": Fraction(1, 2)}),
-        ("assoc-legendre", {"m": 1.0}),
-        ("laguerre", {"alpha": 0.1}),
-        ("laguerre-radial", {"alpha": "1/2"}),
-        ("gegenbauer", {"lam": 0.5}),
+    @pytest.mark.parametrize("kind,name,value", [
+        ("oscillator-3d", "ell", 1.5),
+        ("oscillator-3d", "ell", Fraction(1, 2)),
+        ("coulomb-radial", "ell", True),
+        ("assoc-legendre", "m", Fraction(1, 2)),
+        ("assoc-legendre", "m", 1.0),
+        ("laguerre", "alpha", 0.1),
+        ("laguerre-radial", "alpha", "1/2"),
+        ("gegenbauer", "lam", 0.5),
     ])
-    def test_inexact_parameters_rejected(self, kind, params):
+    def test_inexact_parameters_rejected(self, kind, name, value):
         with pytest.raises(ValueError, match=f"^{kind} requires "):
-            FamilySpec(kind, 2, **params)
+            FamilySpec(kind, 2, **{name: value})
 
     def test_integer_parameters_become_fractions(self):
         assert type(FamilySpec("laguerre", 2, alpha=1).alpha) is Fraction

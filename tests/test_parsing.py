@@ -68,6 +68,7 @@ class TestErrors:
 
     def test_nesting_limit(self):
         assert parse_expression("(" * MAX_NESTING + "x" + ")" * MAX_NESTING) == X
+        assert parse_expression("+".join(["(x)"] * (MAX_NESTING + 1))) == X * (MAX_NESTING + 1)
         deeper = " (" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1)
         with pytest.raises(ParseError) as err:
             parse_expression(deeper)
