@@ -51,6 +51,7 @@ def _cases() -> dict[str, list[str]]:
         for fmt in ("json", "csv", "latex"):
             cases[f"gen {family} {fmt}"] = ["gen", "--family", family, "--n-max", "10", "--format", fmt, *params]
     cases["gen assoc-legendre m=2"] = ["gen", "--family", "assoc-legendre", "--m", "2", "--n-max", "8"]
+    cases["gen assoc-legendre m=2 latex"] = [*cases["gen assoc-legendre m=2"], "--format", "latex"]
     for suite in VERIFY_SUITES:
         cases[f"verify {suite}"] = ["verify", "--suite", suite, "--n-max", "6", "--json"]
     for family, params in FACTORIZE_SPECS.items():
@@ -84,6 +85,7 @@ GOLDEN = {
     'factorize lowering legendre': '8ed6da1355442ba1addafaef40086d33ba40af655eb69ff1b9d52f12a9080248',
     'factorize oscillator-3d': '7e20eee80ef9930739592adfa6892836ed56b032225d68229b0a90907c95b2cf',
     'gen assoc-legendre m=2': '746925c2d74e78fdd1e4d06094e7e96dcd8d7efea79f80ef55874e4a79edef93',
+    'gen assoc-legendre m=2 latex': '07a42bb085f34dccc13885d8cc5e3b1917c87f3229a41e2f6151a00553c9eaf0',
     'gen chebyshev-T csv': 'c4fa4497b79dd09c50e2dc32a504e6262092d77e9feed80a9f3c5bcfdd475d77',
     'gen chebyshev-T json': 'e025f1eb5ba5a67ffa5cf6f69fb118ab5178ab3add8901c9b346d46650353e1e',
     'gen chebyshev-T latex': '31a3323f97e401c382695ef9b723ef6d042babca1e1d45b97289e69f32d1013a',

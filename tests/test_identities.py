@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from ladderpoly import identities
 from ladderpoly.algebra import ONE, Polynomial, X, ZERO
 from ladderpoly.families import FamilySpec, X_SQ_MINUS_1, oracle_recurrence
 from ladderpoly.identities import (
@@ -80,6 +81,54 @@ class TestNamedChecks:
     def test_unknown_id(self):
         with pytest.raises(ValueError):
             identity_check("no-such-identity", 5)
+
+
+def _instances(index, labels, prefix=None):
+    """The params of every instance at index 2 and 3 for each relation label."""
+    return [
+        {**(prefix or {}), index: k, "relation": label}
+        for k in ("2", "3") for label in labels
+    ]
+
+
+#: identity id, the kind whose oracle member 2 is corrupted, and the params of
+#: exactly the instances that must then fail: the ones reading that member.
+CORRUPTED_RELATIONS = [
+    ("legendre-relations", "legendre", _instances("n", ("raising", "lowering"))),
+    (
+        "gegenbauer-updown",
+        "gegenbauer",
+        [p for lam in ("1/2", "1", "3/2", "2") for p in _instances("n", ("lowering", "raising"), {"lambda": lam})],
+    ),
+    (
+        "chebyshev-relations",
+        "chebyshev-U",
+        [{"n": "1", "relation": "U raising"}, {"n": "2", "relation": "U raising"},
+         {"n": "2", "relation": "U lowering"}, {"n": "3", "relation": "U lowering"}],
+    ),
+    (
+        "chebyshev-relations",
+        "chebyshev-T",
+        [{"m": "1", "relation": "T raising"}, {"m": "2", "relation": "T raising"},
+         {"m": "2", "relation": "T lowering"}, {"m": "3", "relation": "T lowering"}],
+    ),
+]
+
+
+@pytest.mark.parametrize("identity_id,kind,failing", CORRUPTED_RELATIONS)
+def test_relation_check_negative_control(monkeypatch, identity_id, kind, failing):
+    # the relation checks read their family members from the recurrence oracle;
+    # shifting one member must fail every relation that reads it, and only those
+    oracle = identities.oracle_recurrence
+
+    def corrupted(spec):
+        return oracle(spec) + 1 if spec.kind == kind and spec.n == 2 else oracle(spec)
+
+    monkeypatch.setattr(identities, "oracle_recurrence", corrupted)
+    report = identity_check(identity_id, 4)
+    assert not report.ok
+    assert [f.params for f in report.failures()] == failing
+    assert all(f.discrepancy for f in report.failures())
 
 
 class TestRemainderTerm:
