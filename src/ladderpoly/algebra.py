@@ -295,10 +295,6 @@ class RationalFunction:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
-    @classmethod
-    def from_scalar(cls, value: Scalar) -> RationalFunction:
-        return cls(Polynomial.constant(value), ONE)
-
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
@@ -382,10 +378,6 @@ class RationalFunction:
 
     def __str__(self) -> str:
         return self.to_text()
-
-
-RF_ZERO = RationalFunction(ZERO, ONE)
-RF_ONE = RationalFunction(ONE, ONE)
 
 
 def _as_ratfn(value: RationalFunction | Polynomial | Scalar) -> RationalFunction:

@@ -14,30 +14,11 @@ import sys
 from fractions import Fraction
 
 from .algebra import Polynomial
-from .families import (
-    GENERATING_KINDS,
-    FamilySpec,
-    KINDS,
-    generate_assoc_legendre,
-    generate_ladder,
-    make_operator,
-)
+from .families import FamilySpec, KINDS, generate_assoc_legendre, generate_ladder, make_operator
 from .ladder import LOWERING, OutOfClassError, RAISING, factorize, verify_factorization
 from .parsing import ParseError, parse_expression
 from .verify import SUITE_NAMES, run_suite, standard_testers
 from .weighted import WeightedExpression, as_weighted
-
-LATEX_SYMBOLS = {
-    "legendre": "P_{%d}",
-    "chebyshev-T": "T_{%d}",
-    "chebyshev-U": "U_{%d}",
-    "gegenbauer": "C_{%d}^{\\lambda}",
-    "laguerre": "L_{%d}^{\\alpha}",
-    "hermite": "H_{%d}",
-    "laguerre-radial": "L_{%d}^{\\alpha}",
-    "assoc-legendre": "P_{%d}^{m}",
-}
-
 
 def _fraction(text: str) -> Fraction:
     try:
@@ -127,12 +108,11 @@ def _coeff_strings(p: Polynomial) -> list[str]:
     return [str(c) for c in p.coeffs]
 
 
-def _weight_dict(w: WeightedExpression) -> dict | None:
-    if not w.powers and w.exp_arg.is_zero:
-        return None
+def _weighted_json(w: WeightedExpression) -> dict:
     return {
+        "coeff": {"num": _coeff_strings(w.coeff.num), "den": _coeff_strings(w.coeff.den)},
         "powers": [[str(pf.root), str(pf.exponent)] for pf in w.powers],
-        "expArg": [str(c) for c in w.exp_arg.coeffs],
+        "expArg": _coeff_strings(w.exp_arg),
     }
 
 
@@ -144,18 +124,15 @@ def _gen_records(args) -> tuple[FamilySpec, list[dict]]:
             raise ValueError("assoc-legendre requires --m")
         if args.n_max < args.m:
             raise ValueError("--n-max must be at least the order m")
-        start = args.m
         spec = _family_spec(args, args.n_max)
-        for n in range(start, args.n_max + 1):
+        for n in range(args.m, args.n_max + 1):
             member = generate_assoc_legendre(n, args.m)
-            record = {"n": n, "coefficients": _coeff_strings(member.coeff.num)}
-            weight = _weight_dict(member)
-            if weight:
-                record["weight"] = weight
+            weighted = _weighted_json(member)
+            record = {"n": n, "coefficients": weighted.pop("coeff")["num"]}
+            if member.powers:  # (x^2-1)^(m/2) for odd m; P_n^m has no exponential factor
+                record["weight"] = weighted
             records.append(record)
         return spec, records
-    if kind not in GENERATING_KINDS:
-        raise ValueError(f"family {kind} has no polynomial generation")
     spec = _family_spec(args, args.n_max)
     for n in range(args.n_max + 1):
         records.append({"n": n, "coefficients": _coeff_strings(generate_ladder(spec.with_n(n)))})
@@ -170,11 +147,10 @@ def _render_gen(args, spec: FamilySpec, records: list[dict]) -> str:
     if args.format == "csv":
         lines = [",".join([str(r["n"])] + r["coefficients"]) for r in records]
         return "\n".join(lines)
-    symbol = LATEX_SYMBOLS.get(spec.kind, "y_{%d}")
     lines = []
     for r in records:
         poly = Polynomial(tuple(Fraction(c) for c in r["coefficients"]))
-        lines.append(f"{symbol % r['n']}({spec.var}) = {poly.to_latex(spec.var)}")
+        lines.append(f"{spec.symbol % r['n']}({spec.var}) = {poly.to_latex(spec.var)}")
     return "\n".join(lines)
 
 
@@ -237,17 +213,6 @@ def cmd_factorize(args) -> int:
         print(f"h  = {fac.h.to_text(op.var)}")
         print(f"verification: {report.summary()}")
     return 0 if report.ok else 1
-
-
-def _weighted_json(w: WeightedExpression) -> dict:
-    return {
-        "coeff": {
-            "num": [str(c) for c in w.coeff.num.coeffs],
-            "den": [str(c) for c in w.coeff.den.coeffs],
-        },
-        "powers": [[str(pf.root), str(pf.exponent)] for pf in w.powers],
-        "expArg": [str(c) for c in w.exp_arg.coeffs],
-    }
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -9,16 +9,17 @@ ground truth for every other construction in the package and deliberately
 shares no code with the operator path.
 
 The catalog is kept as row tables, one row per family, each read by a single
-evaluator: ``_OPERATORS`` holds the variable, the parameter, the least index
-and the printed raising and lowering a*D + b; ``_LADDERS`` holds the seeds,
-the operator index offset, the scale c_k and the ground weight of the step
-p_k = c_k R p_(k-1); ``_RECURRENCES`` holds (p_1, k -> (A_k, B_k, C_k)) for
-p_(k+1) = (A_k x + B_k) p_k - C_k p_(k-1); ``_RODRIGUES`` holds
-(1/w, w sigma^n, 1/K_n) for p_n = (1/(K_n w)) D^n (w sigma^n); ``_CHAINS``
-holds, per family and chain variant, the least n and the steps of the chain
-[left, D, *middle] applied to an operand.  ``KINDS`` and ``GENERATING_KINDS``
-are the keys of ``_OPERATORS`` and ``_LADDERS``.  Rows are functions of the
-index and the spec, so no weighted expression is built at import time.
+evaluator: ``_OPERATORS`` holds the variable, the LaTeX symbol, the
+parameter, the least index and the printed raising and lowering a*D + b;
+``_LADDERS`` holds the seeds, the operator index offset, the scale c_k and the
+ground weight of the step p_k = c_k R p_(k-1); ``_RECURRENCES`` holds
+(p_1, k -> (A_k, B_k, C_k)) for p_(k+1) = (A_k x + B_k) p_k - C_k p_(k-1);
+``_RODRIGUES`` holds (1/w, w sigma^n, 1/K_n) for p_n = (1/(K_n w)) D^n
+(w sigma^n); ``_CHAINS`` holds, per family and chain variant, the least n and
+the steps of the chain [left, D, *middle] applied to an operand.  ``KINDS``
+and ``GENERATING_KINDS`` are the keys of ``_OPERATORS`` and ``_LADDERS``.
+Rows are functions of the index and the spec, so no weighted expression is
+built at import time.
 
 Square-root weights are expressed in the canonical (x - root) basis of the
 weighted module: ``qpow(e)`` below stands for (x^2-1)^e.  Formulas printed
@@ -101,11 +102,11 @@ class FamilySpec:
     def __post_init__(self) -> None:
         if self.kind not in _OPERATORS:
             raise ValueError(f"unknown family kind: {self.kind!r}")
-        if not isinstance(self.n, int) or self.n < 0:
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 0:
             raise ValueError("index n must be a nonnegative integer")
         for name, (_, exact, in_range, requires, called) in _PARAMETERS.items():
             value = getattr(self, name)
-            if name == _OPERATORS[self.kind][1]:
+            if name == _OPERATORS[self.kind][2]:
                 if not isinstance(value, (int, exact)) or isinstance(value, bool) or not in_range(value, self.n):
                     raise ValueError(f"{self.kind} requires {requires}")
                 object.__setattr__(self, name, exact(value))
@@ -116,15 +117,21 @@ class FamilySpec:
     def var(self) -> str:
         return _OPERATORS[self.kind][0]
 
+    @property
+    def symbol(self) -> str | None:
+        """The LaTeX symbol, with %d for the index; None for a kind without generation."""
+        return _OPERATORS[self.kind][1]
+
     def with_n(self, n: int) -> FamilySpec:
         return FamilySpec(self.kind, n, self.alpha, self.lam, self.m, self.ell)
 
     def params(self) -> dict[str, str]:
-        name = _OPERATORS[self.kind][1]
+        name = _OPERATORS[self.kind][2]
         return {_PARAMETERS[name][0]: str(getattr(self, name))} if name else {}
 
 
-#: kind -> (variable, the one parameter it requires, least n, raising row,
+#: kind -> (variable, LaTeX symbol of member n or None where the kind cannot
+#: be generated, the one parameter it requires, least n, raising row,
 #: lowering row).  A row maps (n, spec) to the printed (a, b, form, name) of
 #: a*D + b, None where the family prints no such operator.  The assoc-legendre
 #: pair is the canonical-basis transcription of the m-raising/lowering pair:
@@ -133,52 +140,52 @@ class FamilySpec:
 #: R_m P_n^m = P_n^(m+1) and L_m P_n^(m+1) = (n-m)(n+m+1) P_n^m exact.
 _OPERATORS = {
     "legendre": (
-        "x", None, 0,
+        "x", "P_{%d}", None, 0,
         lambda n, s: (X_SQ_MINUS_1, X * n, RAISING, f"R_{n}"),
         lambda n, s: (X_SQ_MINUS_1, X * n, LOWERING, f"L_{n}"),
     ),
     "assoc-legendre": (
-        "x", "m", 0,
+        "x", "P_{%d}^{m}", "m", 0,
         lambda n, s: (qpow(Fraction(1, 2)), qpow(Fraction(-1, 2)) * X * -s.m, RAISING, f"R_m[m={s.m}]"),
         lambda n, s: (-qpow(Fraction(1, 2)), qpow(Fraction(-1, 2)) * X * s.m, LOWERING, f"L_m[m={s.m}]"),
     ),
     "gegenbauer": (  # C+_n maps C_(n-1) to -n C_n
-        "x", "lam", 0,
+        "x", "C_{%d}^{\\lambda}", "lam", 0,
         lambda n, s: (-X_SQ_MINUS_1, X * (-(n - 1 + 2 * s.lam)), RAISING, f"C+_{n}"),
         lambda n, s: (-X_SQ_MINUS_1, X * n, RAISING, f"C-_{n}"),
     ),
     "chebyshev-T": (
-        "x", None, 1,
+        "x", "T_{%d}", None, 1,
         lambda n, s: (X_SQ_MINUS_1 * Fraction(1, n), X, RAISING, f"T+_{n}"),
         lambda n, s: (-X_SQ_MINUS_1 * Fraction(1, n), X, RAISING, f"T-_{n}"),
     ),
     "chebyshev-U": (  # U+_n maps U_n to (n+1) U_(n+1)
-        "x", None, 0,
+        "x", "U_{%d}", None, 0,
         lambda n, s: (X_SQ_MINUS_1, X * (n + 2), RAISING, f"U+_{n}"),
         lambda n, s: (-X_SQ_MINUS_1, X * n, RAISING, f"U-_{n}"),
     ),
     "laguerre": (  # A+_n = x D - x + alpha + n maps L_(n-1) to n L_n
-        "x", "alpha", 0,
+        "x", "L_{%d}^{\\alpha}", "alpha", 0,
         lambda n, s: (X, Polynomial.of(s.alpha + n, -1), RAISING, f"A+_{n}"),
         lambda n, s: (-X, n, RAISING, f"A-_{n}"),
     ),
     "hermite": (
-        "x", None, 0,
+        "x", "H_{%d}", None, 0,
         lambda n, s: (-1, X, RAISING, "a+"),
         lambda n, s: (1, X, RAISING, "a-"),
     ),
     "laguerre-radial": (  # A+_n = (r/2) D + n + alpha - r^2
-        "r", "alpha", 0,
+        "r", "L_{%d}^{\\alpha}", "alpha", 0,
         lambda n, s: (X * Fraction(1, 2), Polynomial.of(s.alpha + n, 0, -1), RAISING, f"A+_{n}"),
         lambda n, s: (X * Fraction(-1, 2), n, RAISING, f"A-_{n}"),
     ),
     "coulomb-radial": (
-        "r", "ell", 0,
+        "r", None, "ell", 0,
         lambda n, s: (1, RationalFunction(Polynomial.constant(s.ell + 1), X), RAISING, f"A+_l[{s.ell}]"),
         None,
     ),
     "oscillator-3d": (
-        "r", "ell", 0,
+        "r", None, "ell", 0,
         lambda n, s: (1, RationalFunction(Polynomial.of(s.ell + 1, 0, Fraction(1, 2)), X), RAISING, f"a+_l[{s.ell}]"),
         None,
     ),
@@ -195,7 +202,7 @@ def make_operator(spec: FamilySpec, direction: str) -> LadderOperator:
     """
     if direction not in (RAISING, LOWERING):
         raise ValueError(f"unknown direction: {direction!r}")
-    var, _, least, raising, lowering = _OPERATORS[spec.kind]
+    var, _, _, least, raising, lowering = _OPERATORS[spec.kind]
     if spec.n < least:
         raise ValueError(f"{spec.kind} ladder operators require index m >= {least}")
     row = raising if direction == RAISING else lowering

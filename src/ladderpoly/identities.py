@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Iterable, Sequence
 
 from .algebra import ONE, Polynomial, RationalFunction, X, ZERO, integrate_rational, nth_derivative
@@ -49,12 +50,9 @@ class IdentityReport:
     def failures(self) -> list[InstanceResult]:
         return [inst for inst in self.instances if not inst.ok]
 
-    def add(self, params: dict[str, str], difference) -> None:
+    def add(self, params: dict[str, str], difference: Polynomial | WeightedExpression) -> None:
         """Record an instance from a difference that should be zero."""
-        is_zero = difference.is_zero if hasattr(difference, "is_zero") else difference == 0
-        self.instances.append(
-            InstanceResult(params, is_zero, None if is_zero else str(difference))
-        )
+        self.record(params, difference.is_zero, str(difference))
 
     def record(self, params: dict[str, str], ok: bool, discrepancy: str | None) -> None:
         """Record an instance with its outcome; the discrepancy is kept only on failure."""
@@ -151,20 +149,6 @@ def check_eq33_eq35(n_max: int) -> IdentityReport:
     return report
 
 
-def check_legendre_relations(n_max: int) -> IdentityReport:
-    """R_n P_(n-1) = n P_n and the lowering relation at its resolved index n+2."""
-    report = IdentityReport("legendre-relations")
-    for n in range(1, n_max + 1):
-        raised = make_operator(FamilySpec("legendre", n), RAISING).apply(_legendre(n - 1))
-        report.add({"n": str(n), "relation": "raising"}, raised.as_polynomial() - _legendre(n) * n)
-        lowered = make_operator(FamilySpec("legendre", n + 2), LOWERING).apply(_legendre(n))
-        report.add(
-            {"n": str(n), "relation": "lowering"},
-            lowered.as_polynomial() - _legendre(n - 1) * n,
-        )
-    return report
-
-
 def resolve_legendre_lowering_offset(n_max: int = 8) -> int:
     """Which index k = n + offset makes (-D (x^2-1) + k x) P_n = n P_(n-1) exact.
 
@@ -207,42 +191,50 @@ def check_assoc_relations(n_max: int) -> IdentityReport:
     return report
 
 
-def check_gegenbauer_updown(n_max: int, lambdas: Sequence[Fraction] = DEFAULT_LAMBDAS) -> IdentityReport:
-    report = IdentityReport("gegenbauer-updown")
-    for lam in lambdas:
-        polys = [oracle_recurrence(FamilySpec("gegenbauer", n, lam=lam)) for n in range(n_max + 1)]
-        for n in range(1, n_max + 1):
-            spec = FamilySpec("gegenbauer", n, lam=lam)
-            lowered = make_operator(spec, LOWERING).apply(polys[n]).as_polynomial()
-            report.add(
-                {"lambda": str(lam), "n": str(n), "relation": "lowering"},
-                lowered - polys[n - 1] * (n + 2 * lam - 1),
-            )
-            raised = make_operator(spec, RAISING).apply(polys[n - 1]).as_polynomial()
-            report.add(
-                {"lambda": str(lam), "n": str(n), "relation": "raising"},
-                raised + polys[n] * n,
-            )
-    return report
+#: identity id -> rows (index name, least index, family specs, relations).  A
+#: relation (label, direction, operator offset, source offset, target offset,
+#: scale) says the operator at index k + operator offset maps p_(k + source)
+#: to scale(spec at k) p_(k + target), for k from the least index to n_max.
+_RELATIONS = {
+    "legendre-relations": [("n", 1, [FamilySpec("legendre", 0)], (
+        ("raising", RAISING, 0, -1, 0, lambda s: s.n),
+        ("lowering", LOWERING, 2, 0, -1, lambda s: s.n),  # the resolved lowering index
+    ))],
+    "gegenbauer-updown": [("n", 1, [FamilySpec("gegenbauer", 0, lam=lam) for lam in DEFAULT_LAMBDAS], (
+        ("lowering", LOWERING, 0, 0, -1, lambda s: s.n + 2 * s.lam - 1),
+        ("raising", RAISING, 0, -1, 0, lambda s: -s.n),
+    ))],
+    "chebyshev-relations": [
+        ("n", 0, [FamilySpec("chebyshev-U", 0)], (
+            ("U raising", RAISING, 0, 0, 1, lambda s: s.n + 1),
+            ("U lowering", LOWERING, 0, 0, -1, lambda s: s.n + 1),
+        )),
+        ("m", 1, [FamilySpec("chebyshev-T", 0)], (
+            ("T raising", RAISING, 0, 0, 1, lambda s: 1),
+            ("T lowering", LOWERING, 0, 0, -1, lambda s: 1),
+        )),
+    ],
+}
 
 
-def check_chebyshev_relations(n_max: int) -> IdentityReport:
-    report = IdentityReport("chebyshev-relations")
-    u = [oracle_recurrence(FamilySpec("chebyshev-U", n)) for n in range(n_max + 2)]
-    t = [oracle_recurrence(FamilySpec("chebyshev-T", n)) for n in range(n_max + 2)]
-    for n in range(n_max + 1):
-        spec = FamilySpec("chebyshev-U", n)
-        raised = make_operator(spec, RAISING).apply(u[n]).as_polynomial()
-        report.add({"n": str(n), "relation": "U raising"}, raised - u[n + 1] * (n + 1))
-        lowered = make_operator(spec, LOWERING).apply(u[n]).as_polynomial()
-        below = u[n - 1] if n >= 1 else ZERO
-        report.add({"n": str(n), "relation": "U lowering"}, lowered - below * (n + 1))
-    for m in range(1, n_max + 1):
-        spec = FamilySpec("chebyshev-T", m)
-        raised = make_operator(spec, RAISING).apply(t[m]).as_polynomial()
-        report.add({"m": str(m), "relation": "T raising"}, raised - t[m + 1])
-        lowered = make_operator(spec, LOWERING).apply(t[m]).as_polynomial()
-        report.add({"m": str(m), "relation": "T lowering"}, lowered - t[m - 1])
+def _member(spec: FamilySpec, j: int) -> Polynomial:
+    """The oracle member p_j of the spec's family, with p_j = 0 for j < 0."""
+    return oracle_recurrence(spec.with_n(j)) if j >= 0 else ZERO
+
+
+def check_relations(identity_id: str, n_max: int) -> IdentityReport:
+    """The ladder relations of one ``_RELATIONS`` entry, against the recurrence oracles."""
+    report = IdentityReport(identity_id)
+    for index, least, specs, relations in _RELATIONS[identity_id]:
+        for family in specs:
+            for spec in map(family.with_n, range(least, n_max + 1)):
+                for label, direction, op_offset, source, target, scale in relations:
+                    op = make_operator(spec.with_n(spec.n + op_offset), direction)
+                    result = op.apply(_member(spec, spec.n + source)).as_polynomial()
+                    report.add(
+                        {**spec.params(), index: str(spec.n), "relation": label},
+                        result - _member(spec, spec.n + target) * scale(spec),
+                    )
     return report
 
 
@@ -252,20 +244,18 @@ _CHECKS = {
     "remark3term-legendre": check_remark_three_term_legendre,
     "eq34": check_eq34,
     "eq33-35": check_eq33_eq35,
-    "legendre-relations": check_legendre_relations,
     "assoc-relations": check_assoc_relations,
-    "gegenbauer-updown": check_gegenbauer_updown,
-    "chebyshev-relations": check_chebyshev_relations,
+    **{i: partial(check_relations, i) for i in _RELATIONS},
 }
 
 
-def identity_check(identity_id: str, n_max: int, **kwargs) -> IdentityReport:
+def identity_check(identity_id: str, n_max: int) -> IdentityReport:
     """Run one named identity over 2..n_max (or its natural range)."""
     try:
         checker = _CHECKS[identity_id]
     except KeyError:
         raise ValueError(f"unknown identity id: {identity_id!r}") from None
-    return checker(n_max, **kwargs)
+    return checker(n_max)
 
 
 # ---------------------------------------------------------------------------

@@ -68,8 +68,10 @@ class TestGen:
         assert "unknown family" in err
 
     def test_family_without_generation(self, capsys):
-        code, _, err = run(capsys, "gen", "--family", "coulomb-radial", "--ell", "0", "--n-max", "2")
+        code, out, err = run(capsys, "gen", "--family", "coulomb-radial", "--ell", "0", "--n-max", "2")
         assert code == 2
+        assert out == ""
+        assert err == "error: family 'coulomb-radial' has no polynomial ladder generation\n"
 
 
 class TestVerify:

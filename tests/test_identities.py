@@ -131,6 +131,15 @@ def test_relation_check_negative_control(monkeypatch, identity_id, kind, failing
     assert all(f.discrepancy for f in report.failures())
 
 
+def test_relation_scale_negative_control(monkeypatch):
+    # a wrong scale in one relation row fails that relation at every index, only
+    index, least, specs, (raising, lowering) = identities._RELATIONS["legendre-relations"][0]
+    wrong = (*raising[:5], lambda s: s.n + 1)
+    monkeypatch.setitem(identities._RELATIONS, "legendre-relations", [(index, least, specs, (wrong, lowering))])
+    report = identity_check("legendre-relations", 4)
+    assert [f.params for f in report.failures()] == [{"n": str(n), "relation": "raising"} for n in range(1, 5)]
+
+
 class TestRemainderTerm:
     def test_zero_drift_vanishes(self):
         for n in range(2, 9):

@@ -10,7 +10,9 @@ from fractions import Fraction
 
 import pytest
 
-from ladderpoly.families import FamilySpec, generate_ladder, make_operator
+from ladderpoly.families import GENERATING_KINDS, KINDS, FamilySpec, generate_ladder, make_operator
+from ladderpoly.identities import _RELATIONS
+from ladderpoly.ladder import LOWERING, RAISING
 
 HALF = Fraction(1, 2)
 
@@ -113,6 +115,7 @@ SPEC_ERRORS = [
     ("jacobi", 1, {}, "unknown family kind: 'jacobi'"),
     ("legendre", -1, {}, "index n must be a nonnegative integer"),
     ("legendre", 1.0, {}, "index n must be a nonnegative integer"),
+    ("legendre", True, {}, "index n must be a nonnegative integer"),
     ("assoc-legendre", 2, {}, "assoc-legendre requires an order m with 0 <= m <= n"),
     ("assoc-legendre", 2, {"m": 3}, "assoc-legendre requires an order m with 0 <= m <= n"),
     ("assoc-legendre", 2, {"m": -1}, "assoc-legendre requires an order m with 0 <= m <= n"),
@@ -175,3 +178,18 @@ def test_generation_error_pinned(kind):
     with pytest.raises(ValueError) as err:
         generate_ladder(member(kind, 2))
     assert str(err.value) == GENERATION_ERRORS[kind]
+
+
+def test_latex_symbols_exactly_where_gen_works():
+    with_symbol = {kind for kind in KINDS if member(kind, 0).symbol is not None}
+    assert with_symbol == {*GENERATING_KINDS, "assoc-legendre"}
+
+
+def test_relation_rows_name_catalogued_operators():
+    for rows in _RELATIONS.values():
+        for _, least, specs, relations in rows:
+            for spec in specs:
+                assert spec.kind in KINDS
+                for _, direction, op_offset, *_ in relations:
+                    assert direction in (RAISING, LOWERING)
+                    make_operator(spec.with_n(least + op_offset), direction)
