@@ -198,7 +198,7 @@ def check_assoc_relations(n_max: int) -> IdentityReport:
 _RELATIONS = {
     "legendre-relations": [("n", 1, [FamilySpec("legendre", 0)], (
         ("raising", RAISING, 0, -1, 0, lambda s: s.n),
-        ("lowering", LOWERING, 2, 0, -1, lambda s: s.n),  # the resolved lowering index
+        ("lowering", LOWERING, 2, 0, -1, lambda s: s.n),  # the offset resolve_legendre_lowering_offset finds
     ))],
     "gegenbauer-updown": [("n", 1, [FamilySpec("gegenbauer", 0, lam=lam) for lam in DEFAULT_LAMBDAS], (
         ("lowering", LOWERING, 0, 0, -1, lambda s: s.n + 2 * s.lam - 1),

@@ -115,7 +115,6 @@ SPEC_ERRORS = [
     ("jacobi", 1, {}, "unknown family kind: 'jacobi'"),
     ("legendre", -1, {}, "index n must be a nonnegative integer"),
     ("legendre", 1.0, {}, "index n must be a nonnegative integer"),
-    ("legendre", True, {}, "index n must be a nonnegative integer"),
     ("assoc-legendre", 2, {}, "assoc-legendre requires an order m with 0 <= m <= n"),
     ("assoc-legendre", 2, {"m": 3}, "assoc-legendre requires an order m with 0 <= m <= n"),
     ("assoc-legendre", 2, {"m": -1}, "assoc-legendre requires an order m with 0 <= m <= n"),
@@ -134,6 +133,7 @@ SPEC_ERRORS = [
     ("legendre", 2, {"ell": 1}, "legendre takes no ell parameter"),
     ("legendre", 2, {"m": 1, "alpha": HALF}, "legendre takes no order m"),
     ("gegenbauer", 2, {"lam": HALF, "alpha": HALF}, "gegenbauer takes no alpha parameter"),
+    ("legendre", True, {}, "index n must be a nonnegative integer"),
 ]
 
 #: kind -> the ValueError text of generate_ladder on a non-generating kind.
