@@ -1,6 +1,7 @@
-"""Property tests for the exact polynomial core: division, product, gcd and
-the canonical form of rational functions."""
+"""Property tests for the exact polynomial core: division, product, gcd, the
+canonical form of rational functions and rational root finding."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from ladderpoly.algebra import ONE, Polynomial, RationalFunction, poly_gcd  # noqa: E402
+from ladderpoly.algebra import ONE, Polynomial, RationalFunction, poly_gcd, rational_roots  # noqa: E402
 
 scalars = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
 polys = st.lists(scalars, max_size=9).map(lambda cs: Polynomial(tuple(cs)))
@@ -77,3 +78,53 @@ def test_rational_function_is_canonical(p, q, g):
     assert poly_gcd(r.num, r.den) == ONE
     assert r.num * q == p * r.den
     assert RationalFunction(p * g, q * g) == r
+
+
+def factored_polys(max_numerator: int):
+    """(p, roots, residual) where p is built from known factors.
+
+    p is a rational content times x^z, times (den*x - num)^k for a few random
+    linear factors (k = 1 or 2), times a few quadratics with no rational
+    root.  The roots are 0 (z times) and num/den (k times each); the residual
+    is what is left once each (x - num/den) is divided out, so each linear
+    factor leaves its den^k behind.
+    """
+    linears = st.lists(
+        st.tuples(st.integers(-max_numerator, max_numerator), st.integers(1, 6), st.sampled_from([1, 1, 2])),
+        max_size=3,
+    )
+    quadratics = st.lists(
+        st.tuples(st.integers(1, 4), st.integers(-6, 6), st.integers(-12, 12)).filter(
+            lambda abc: not is_square(abc[1] ** 2 - 4 * abc[0] * abc[2])
+        ),
+        max_size=2,
+    )
+    contents = st.builds(Fraction, st.integers(1, 12) | st.integers(-12, -1), st.integers(1, 12))
+
+    def build(zeros, lins, quads, content):
+        p = Polynomial.monomial(content, zeros)
+        roots = [Fraction(0)] * zeros
+        residual = Polynomial.constant(content)
+        for num, den, mult in lins:
+            p = p * Polynomial.of(-num, den) ** mult
+            roots += [Fraction(num, den)] * mult
+            residual = residual * den**mult
+        for a, b, c in quads:
+            q = Polynomial.of(c, b, a)
+            p, residual = p * q, residual * q
+        return p, sorted(roots), residual
+
+    return st.builds(build, st.integers(0, 2), linears, quadratics, contents)
+
+
+def is_square(n: int) -> bool:
+    return n >= 0 and math.isqrt(n) ** 2 == n
+
+
+@bounded
+@given(factored_polys(9))
+def test_rational_roots_match_construction(case):
+    p, roots, residual = case
+    found, rest = rational_roots(p)
+    assert sorted(found) == roots
+    assert rest == residual
