@@ -420,47 +420,98 @@ class IntegrationResult:
     log_terms: tuple[tuple[Fraction, Fraction], ...]
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    if n == 0:
-        return []
-    out = set()
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.add(i)
-            out.add(n // i)
-        i += 1
-    return sorted(out)
+def _primes():
+    """2, 3, 5, 7, ... without end, each tested by trial division."""
+    n = 2
+    while True:
+        if all(n % d for d in range(2, math.isqrt(n) + 1)):
+            yield n
+        n += 1
+
+
+def _horner(coeffs: list[int], x: int, modulus: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % modulus
+    return acc
+
+
+def _root_candidates(p: Polynomial) -> list[Fraction]:
+    """A superset of the distinct rational roots of p, found by p-adic lifting.
+
+    g is the square-free part of p, scaled to a primitive integer polynomial
+    with leading coefficient l and constant term a_0 (nonzero: x is no factor
+    of p).  A rational root u/v of g has u | a_0 and v | l, so l*u/v is an
+    integer of absolute value at most |l*a_0|.  For the first prime q that
+    does not divide l and at which every root of g mod q is simple, each root
+    r mod q lifts by Newton's method to a unique root mod q^k; once
+    q^k > 2|l*a_0|, the symmetric residue of l*r, divided by l, is the only
+    rational root that r can be (Loos, SIAM J. Comput. 12, 1983).
+    """
+    common = poly_gcd(p, p.diff())
+    g = p // common if common.degree > 0 else p
+    ints, _ = _integer_form(g.coeffs)
+    content = math.gcd(*ints)
+    ints = [c // content for c in ints]
+    slopes = [k * c for k, c in enumerate(ints)][1:]
+    lead = ints[-1]
+    # Finitely many primes divide l or the discriminant of the square-free g,
+    # so this loop ends.
+    for q in _primes():
+        if lead % q:
+            residues = [r for r in range(q) if not _horner(ints, r, q)]
+            if all(_horner(slopes, r, q) for r in residues):
+                break
+    bound = 2 * abs(lead * ints[0])
+    candidates = []
+    for r in residues:
+        modulus = q
+        while modulus <= bound:
+            modulus *= modulus
+            step = _horner(ints, r, modulus) * pow(_horner(slopes, r, modulus), -1, modulus)
+            r = (r - step) % modulus
+        s = lead * r % modulus
+        candidates.append(Fraction(s - modulus if 2 * s > modulus else s, lead))
+    return candidates
+
+
+def _deflate(coeffs: list[Fraction], root: Fraction) -> tuple[list[Fraction], Fraction]:
+    """Quotient and remainder of the division by (x - root), by Horner's rule."""
+    acc = Fraction(0)
+    out = []
+    for c in reversed(coeffs):
+        acc = acc * root + c
+        out.append(acc)
+    remainder = out.pop()
+    out.reverse()
+    return out, remainder
 
 
 def rational_roots(p: Polynomial) -> tuple[list[Fraction], Polynomial]:
-    """All rational roots with multiplicity, plus the root-free residual factor."""
-    roots: list[Fraction] = []
-    current = p
-    while current.degree >= 1:
-        if current.coefficient(0) == 0:
-            roots.append(Fraction(0))
-            current = current // X
-            continue
-        scale = math.lcm(*(c.denominator for c in current.coeffs))
-        ints = [int(c * scale) for c in current.coeffs]
-        found = None
-        for q in _divisors(ints[-1]):
-            for pnum in _divisors(ints[0]):
-                for cand in (Fraction(pnum, q), Fraction(-pnum, q)):
-                    if current(cand) == 0:
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
-        if found is None:
-            break
-        roots.append(found)
-        current = current // linear(found)
-    return roots, current
+    """All rational roots with multiplicity, plus the root-free residual factor.
+
+    Zero roots are stripped first and a linear residual gives its root
+    directly.  Otherwise each candidate from ``_root_candidates`` is divided
+    out while the division is exact; its first remainder is p at the
+    candidate, so a candidate that is no root is rejected by exact arithmetic.
+    """
+    coeffs = list(p.coeffs)
+    zeros = 0
+    while zeros < len(coeffs) - 1 and not coeffs[zeros]:
+        zeros += 1
+    roots = [Fraction(0)] * zeros
+    coeffs = coeffs[zeros:]
+    if len(coeffs) == 2:
+        roots.append(-coeffs[0] / coeffs[1])
+        coeffs = coeffs[1:]
+    elif len(coeffs) > 2:
+        for root in _root_candidates(Polynomial._trusted(coeffs)):
+            quotient, remainder = _deflate(coeffs, root)
+            while not remainder:
+                roots.append(root)
+                coeffs = quotient
+                quotient, remainder = _deflate(coeffs, root)
+    return roots, Polynomial._trusted(coeffs)
 
 
 def partial_fractions(r: RationalFunction) -> PartialFractions:

@@ -128,3 +128,13 @@ def test_rational_roots_match_construction(case):
     found, rest = rational_roots(p)
     assert sorted(found) == roots
     assert rest == residual
+
+
+@settings(max_examples=80, deadline=1000)
+@given(factored_polys(10**15))
+def test_rational_roots_of_large_numerators(case):
+    """Root finding by lifting costs bits, not magnitude: 18-digit poles are cheap."""
+    p, roots, residual = case
+    found, rest = rational_roots(p)
+    assert sorted(found) == roots
+    assert rest == residual

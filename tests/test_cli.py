@@ -1,17 +1,37 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from ladderpoly import cli
 from ladderpoly.algebra import Polynomial
 from ladderpoly.cli import main
 from ladderpoly.families import FamilySpec, generate_ladder, oracle_recurrence
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_process(*argv, timeout=2):
+    """The CLI in a fresh interpreter; raises TimeoutExpired past the timeout."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "ladderpoly.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 class TestGen:
@@ -184,3 +204,8 @@ class TestFactorize:
         code, _, err = run(capsys, "factorize", "--family", "legendre", "--n", "2", "--drift", "x +")
         assert code == 2
         assert "position" in err
+
+    def test_large_pole_within_two_seconds(self):
+        done = run_process("factorize", "--family", "legendre", "--n", "2", "--drift", "1/(x-123456789012345678)")
+        assert done.returncode == 0
+        assert "verification: 5/5 testers exact" in done.stdout.splitlines()
