@@ -10,9 +10,17 @@ Grammar (whitespace-insensitive):
 
 Integers are unsigned digit runs; rationals are written with '/' (ordinary
 division).  The variable is ``x`` or ``r``.  Exponents are nonnegative
-integers, capped to keep inputs sane, and parentheses nest at most MAX_NESTING
-deep, far inside the recursion limit.  The result is a Polynomial whenever the
-denominator reduces to one, otherwise a RationalFunction.
+integers, and parentheses nest at most MAX_NESTING deep, far inside the
+recursion limit.  The result is a Polynomial whenever the denominator reduces
+to one, otherwise a RationalFunction.
+
+The size of every value is budgeted before it is built.  Each operator first
+bounds its result: the degrees of numerator and denominator may not exceed
+MAX_EXPONENT, and the coefficient bit size (the sum of the operands' for a
+sum, product or quotient, the exponent times the base's for a power) may not
+exceed MAX_COEFFICIENT_BITS.  An integer literal is held to the same bit
+limit.  Breaking either limit is a ParseError, so no input makes the parser
+build a polynomial of unbounded size.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from fractions import Fraction
 from .algebra import Polynomial, RationalFunction, X, as_rational_function
 
 MAX_EXPONENT = 512
+MAX_COEFFICIENT_BITS = 4096
 MAX_NESTING = 100
 
 VARIABLES = ("x", "r")
@@ -66,26 +75,48 @@ class _Parser:
             raise ParseError(f"unexpected {self.source[self.pos]!r}", self.pos)
         return value
 
+    def budget(self, at: int, num_degree: int, den_degree: int, bits: int) -> None:
+        """Reject a result whose degrees or coefficient size would break the limits."""
+        degree = max(num_degree, den_degree)
+        if degree > MAX_EXPONENT:
+            raise ParseError(f"degree {degree} exceeds the limit {MAX_EXPONENT}", at)
+        if bits > MAX_COEFFICIENT_BITS:
+            raise ParseError(f"coefficients of {bits} bits exceed the limit {MAX_COEFFICIENT_BITS}", at)
+
     def expr(self) -> RationalFunction:
         value = self.term()
         while self.peek() in ("+", "-"):
-            if self.take() == "+":
-                value = value + self.term()
-            else:
-                value = value - self.term()
+            at = self.pos
+            op = self.take()
+            right = self.term()
+            self.budget(
+                at,
+                max(value.num.degree + right.den.degree, right.num.degree + value.den.degree),
+                value.den.degree + right.den.degree,
+                _bits(value) + _bits(right) + 1,
+            )
+            value = value + right if op == "+" else value - right
         return value
 
     def term(self) -> RationalFunction:
         value = self.unary()
         while self.peek() in ("*", "/"):
+            at = self.pos
             op = self.take()
             right = self.unary()
             if op == "*":
-                value = value * right
+                num, den = right.num, right.den
             else:
                 if right.is_zero:
                     raise ParseError("division by zero", self.pos)
-                value = value / right
+                num, den = right.den, right.num
+            self.budget(
+                at,
+                value.num.degree + num.degree,
+                value.den.degree + den.degree,
+                _bits(value) + _bits(right),
+            )
+            value = value * right if op == "*" else value / right
         return value
 
     def unary(self) -> RationalFunction:
@@ -104,6 +135,7 @@ class _Parser:
             exponent = self.integer("exponent")
             if exponent > MAX_EXPONENT:
                 raise ParseError(f"exponent {exponent} exceeds the limit {MAX_EXPONENT}", at)
+            self.budget(at, exponent * value.num.degree, exponent * value.den.degree, exponent * _bits(value))
             return _ratfn_pow(value, exponent)
         return value
 
@@ -138,7 +170,20 @@ class _Parser:
             self.pos += 1
         if self.pos == start:
             raise ParseError(f"expected {what}", start)
-        return int(self.source[start : self.pos])
+        digits = self.source[start : self.pos]
+        # d digits are at least 10^(d-1) > 2^(3(d-1)): a longer run is over
+        # the limit before int() has to convert it.
+        if 3 * (len(digits) - 1) > MAX_COEFFICIENT_BITS or int(digits).bit_length() > MAX_COEFFICIENT_BITS:
+            raise ParseError(f"{what} exceeds the limit of {MAX_COEFFICIENT_BITS} bits", start)
+        return int(digits)
+
+
+def _bits(value: RationalFunction) -> int:
+    """The largest bit length of any numerator or denominator among the coefficients."""
+    return max(
+        (max(c.numerator.bit_length(), c.denominator.bit_length()) for c in value.num.coeffs + value.den.coeffs),
+        default=0,
+    )
 
 
 def _ratfn_pow(value: RationalFunction, exponent: int) -> RationalFunction:

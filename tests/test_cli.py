@@ -209,3 +209,9 @@ class TestFactorize:
         done = run_process("factorize", "--family", "legendre", "--n", "2", "--drift", "1/(x-123456789012345678)")
         assert done.returncode == 0
         assert "verification: 5/5 testers exact" in done.stdout.splitlines()
+
+    def test_huge_degree_is_usage_error_within_two_seconds(self):
+        done = run_process("factorize", "--family", "legendre", "--n", "2", "--drift", "((x+1)^512)^512")
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == "error: degree 262144 exceeds the limit 512 at position 12\n"

@@ -4,7 +4,7 @@ import pytest
 
 from ladderpoly.algebra import ONE, Polynomial, RationalFunction, X
 from ladderpoly.families import FamilySpec, oracle_recurrence
-from ladderpoly.parsing import MAX_EXPONENT, MAX_NESTING, ParseError, parse_expression
+from ladderpoly.parsing import MAX_COEFFICIENT_BITS, MAX_EXPONENT, MAX_NESTING, ParseError, parse_expression
 
 
 class TestGrammar:
@@ -57,6 +57,23 @@ class TestErrors:
         with pytest.raises(ParseError):
             parse_expression(f"x^{MAX_EXPONENT + 1}")
         assert parse_expression(f"x^{MAX_EXPONENT}").degree == MAX_EXPONENT
+
+    def test_degree_budget(self):
+        assert parse_expression(f"x^{MAX_EXPONENT // 2} * x^{MAX_EXPONENT // 2}").degree == MAX_EXPONENT
+        assert parse_expression(f"(x+1)^{MAX_EXPONENT} / (x+1)^{MAX_EXPONENT}") == Polynomial.of(1)
+        for source in ("((x+1)^512)^512", "x^512 * x", "1/x^512/x", "x^512 + 1/x", "1/x^300 + 1/(x+1)^300"):
+            with pytest.raises(ParseError, match=f"exceeds the limit {MAX_EXPONENT}"):
+                parse_expression(source)
+
+    def test_coefficient_bit_budget(self):
+        largest = 2**MAX_COEFFICIENT_BITS - 1
+        assert parse_expression(str(largest)) == Polynomial.of(largest)
+        with pytest.raises(ParseError, match=f"exceed the limit {MAX_COEFFICIENT_BITS}") as err:
+            parse_expression("(10^500)^512")
+        assert err.value.position == 9
+        for source in (str(2**MAX_COEFFICIENT_BITS), "9" * 5000, f"x^{'9' * 5000}"):
+            with pytest.raises(ParseError, match=f"exceeds the limit of {MAX_COEFFICIENT_BITS} bits"):
+                parse_expression(source)
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(ParseError):
