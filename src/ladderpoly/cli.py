@@ -1,6 +1,8 @@
 """Command-line interface: family tables, verification suites, factorizations.
 
-Exit codes: 0 success, 1 verification failure, 2 usage/parse error.
+Exit codes: 0 success, 1 verification failure, 2 usage/parse error.  An
+input that exhausts the recursion limit or memory also ends as an ``error:``
+line with exit code 2, never as a traceback.
 
 Coefficients serialize as exact "p/q" strings.  CSV rows list coefficients in
 ascending degree order; LaTeX renders descending.
@@ -224,8 +226,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             return cmd_verify(args)
         return cmd_factorize(args)
-    except (ParseError, OutOfClassError, ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ParseError, OutOfClassError, ValueError, ZeroDivisionError, RecursionError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

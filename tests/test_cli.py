@@ -215,3 +215,19 @@ class TestFactorize:
         assert done.returncode == 2
         assert done.stdout == ""
         assert done.stderr == "error: degree 262144 exceeds the limit 512 at position 12\n"
+
+
+@pytest.mark.parametrize(
+    "error,message",
+    [(RecursionError("maximum recursion depth exceeded"), "maximum recursion depth exceeded"), (MemoryError(), "MemoryError")],
+    ids=["recursion", "memory"],
+)
+def test_exhausted_resources_are_usage_errors(capsys, monkeypatch, error, message):
+    def exhaust(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_factorize", exhaust)
+    code, out, err = run(capsys, "factorize", "--family", "legendre", "--n", "2")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
