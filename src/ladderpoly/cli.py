@@ -120,22 +120,16 @@ def _weighted_json(w: WeightedExpression) -> dict:
 
 def _gen_records(args) -> tuple[FamilySpec, list[dict]]:
     records = []
-    kind = _resolve_kind(args.family)
-    if kind == "assoc-legendre":
-        if args.m is None:
-            raise ValueError("assoc-legendre requires --m")
-        if args.n_max < args.m:
-            raise ValueError("--n-max must be at least the order m")
-        spec = _family_spec(args, args.n_max)
-        for n in range(args.m, args.n_max + 1):
-            member = generate_assoc_legendre(n, args.m)
+    spec = _family_spec(args, args.n_max)  # rejects a missing m and any m outside 0..n_max
+    if spec.kind == "assoc-legendre":
+        for n in range(spec.m, args.n_max + 1):
+            member = generate_assoc_legendre(n, spec.m)
             weighted = _weighted_json(member)
             record = {"n": n, "coefficients": weighted.pop("coeff")["num"]}
             if member.powers:  # (x^2-1)^(m/2) for odd m; P_n^m has no exponential factor
                 record["weight"] = weighted
             records.append(record)
         return spec, records
-    spec = _family_spec(args, args.n_max)
     for n in range(args.n_max + 1):
         records.append({"n": n, "coefficients": _coeff_strings(generate_ladder(spec.with_n(n)))})
     return spec, records

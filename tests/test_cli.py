@@ -93,20 +93,12 @@ class TestGen:
         assert out == ""
         assert err == "error: family 'coulomb-radial' has no polynomial ladder generation\n"
 
-    @pytest.mark.parametrize(
-        "order,message",
-        [
-            ((), "assoc-legendre requires --m"),
-            (("--m", "4"), "--n-max must be at least the order m"),
-            (("--m", "-1"), "assoc-legendre requires an order m with 0 <= m <= n"),
-        ],
-        ids=["no-m", "m-above-n-max", "negative-m"],
-    )
-    def test_assoc_legendre_order_errors(self, capsys, order, message):
+    @pytest.mark.parametrize("order", [(), ("--m", "4"), ("--m", "-1")], ids=["no-m", "m-above-n-max", "negative-m"])
+    def test_assoc_legendre_order_errors(self, capsys, order):
         code, out, err = run(capsys, "gen", "--family", "assoc-legendre", "--n-max", "3", *order)
         assert code == 2
         assert out == ""
-        assert err == f"error: {message}\n"
+        assert err == "error: assoc-legendre requires an order m with 0 <= m <= n\n"
 
 
 class TestVerify:
