@@ -121,20 +121,21 @@ def is_square(n: int) -> bool:
     return n >= 0 and math.isqrt(n) ** 2 == n
 
 
-@bounded
-@given(factored_polys(9))
-def test_rational_roots_match_construction(case):
+def assert_roots_found(case):
     p, roots, residual = case
     found, rest = rational_roots(p)
     assert sorted(found) == roots
     assert rest == residual
+
+
+@bounded
+@given(factored_polys(9))
+def test_rational_roots_match_construction(case):
+    assert_roots_found(case)
 
 
 @settings(max_examples=80, deadline=1000)
 @given(factored_polys(10**15))
 def test_rational_roots_of_large_numerators(case):
     """Root finding by lifting costs bits, not magnitude: 18-digit poles are cheap."""
-    p, roots, residual = case
-    found, rest = rational_roots(p)
-    assert sorted(found) == roots
-    assert rest == residual
+    assert_roots_found(case)

@@ -71,6 +71,10 @@ class TestErrors:
         with pytest.raises(ParseError, match=f"exceed the limit {MAX_COEFFICIENT_BITS}") as err:
             parse_expression("(10^500)^512")
         assert err.value.position == 9
+        big = str(2**2100)
+        with pytest.raises(ParseError, match=f"exceed the limit {MAX_COEFFICIENT_BITS}") as err:
+            parse_expression(f"{big}/3 + {big}/7")
+        assert err.value.position == len(big) + 3
         for source in (str(2**MAX_COEFFICIENT_BITS), "9" * 5000, f"x^{'9' * 5000}"):
             with pytest.raises(ParseError, match=f"exceeds the limit of {MAX_COEFFICIENT_BITS} bits"):
                 parse_expression(source)
