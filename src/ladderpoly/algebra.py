@@ -20,6 +20,11 @@ integration for rational functions whose denominators split into distinct
 rational linear factors.  That is exactly the class whose antiderivative is a
 polynomial plus a sum of logarithms, which downstream code exponentiates back
 into weighted expressions.
+
+Rational roots are found by p-adic lifting, not by listing divisors: the
+roots of the square-free part modulo a small prime are lifted by Newton's
+method until their p-adic images determine the rational roots, so the cost
+grows with the bit size of the coefficients rather than their magnitude.
 """
 
 from __future__ import annotations
