@@ -480,18 +480,6 @@ def _root_candidates(p: Polynomial) -> list[Fraction]:
     return candidates
 
 
-def _deflate(coeffs: list[Fraction], root: Fraction) -> tuple[list[Fraction], Fraction]:
-    """Quotient and remainder of the division by (x - root), by Horner's rule."""
-    acc = Fraction(0)
-    out = []
-    for c in reversed(coeffs):
-        acc = acc * root + c
-        out.append(acc)
-    remainder = out.pop()
-    out.reverse()
-    return out, remainder
-
-
 def rational_roots(p: Polynomial) -> tuple[list[Fraction], Polynomial]:
     """All rational roots with multiplicity, plus the root-free residual factor.
 
@@ -500,23 +488,22 @@ def rational_roots(p: Polynomial) -> tuple[list[Fraction], Polynomial]:
     out while the division is exact; its first remainder is p at the
     candidate, so a candidate that is no root is rejected by exact arithmetic.
     """
-    coeffs = list(p.coeffs)
     zeros = 0
-    while zeros < len(coeffs) - 1 and not coeffs[zeros]:
+    while zeros < p.degree and not p.coeffs[zeros]:
         zeros += 1
     roots = [Fraction(0)] * zeros
-    coeffs = coeffs[zeros:]
-    if len(coeffs) == 2:
-        roots.append(-coeffs[0] / coeffs[1])
-        coeffs = coeffs[1:]
-    elif len(coeffs) > 2:
-        for root in _root_candidates(Polynomial._trusted(coeffs)):
-            quotient, remainder = _deflate(coeffs, root)
-            while not remainder:
+    current = Polynomial._trusted(list(p.coeffs[zeros:]))
+    if current.degree == 1:
+        roots.append(-current.coeffs[0] / current.coeffs[1])
+        current = Polynomial._trusted([current.coeffs[1]])
+    elif current.degree > 1:
+        for root in _root_candidates(current):
+            quotient, remainder = divmod(current, linear(root))
+            while remainder.is_zero:
                 roots.append(root)
-                coeffs = quotient
-                quotient, remainder = _deflate(coeffs, root)
-    return roots, Polynomial._trusted(coeffs)
+                current = quotient
+                quotient, remainder = divmod(current, linear(root))
+    return roots, current
 
 
 def partial_fractions(r: RationalFunction) -> PartialFractions:
