@@ -71,6 +71,16 @@ class TestPolynomial:
         assert X_SQ_MINUS_1(2) == 3
         assert X_SQ_MINUS_1(Fraction(1, 2)) == Fraction(-3, 4)
 
+    @pytest.mark.parametrize("name", ["coeffs", "content", "ints", "degree", "unrelated"])
+    def test_immutable(self, name):
+        p = Polynomial.of(1, 2, 3)
+        with pytest.raises(AttributeError):
+            setattr(p, name, (Fraction(5),))
+        with pytest.raises(AttributeError):
+            delattr(p, name)
+        assert p == Polynomial.of(1, 2, 3)
+        assert {p: 1}[Polynomial.of(1, 2, 3)] == 1
+
     def test_gcd_monic(self):
         a = (X - 1) * (X + 2) * 3
         b = (X - 1) * (X - 5) * Fraction(1, 7)

@@ -9,7 +9,15 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from ladderpoly.algebra import ONE, Polynomial, RationalFunction, poly_gcd, rational_roots  # noqa: E402
+from ladderpoly.algebra import (  # noqa: E402
+    ONE,
+    Polynomial,
+    RationalFunction,
+    linear,
+    partial_fractions,
+    poly_gcd,
+    rational_roots,
+)
 
 scalars = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
 polys = st.lists(scalars, max_size=9).map(lambda cs: Polynomial(tuple(cs)))
@@ -80,6 +88,21 @@ def test_rational_function_is_canonical(p, q, g):
     assert RationalFunction(p * g, q * g) == r
 
 
+@bounded
+@given(
+    polys,
+    st.dictionaries(st.builds(Fraction, st.integers(-30, 30), st.integers(1, 6)), scalars.filter(bool), max_size=4),
+)
+def test_partial_fractions_round_trip(quotient, poles):
+    r = RationalFunction(quotient)
+    for root, residue in poles.items():
+        r = r + RationalFunction(Polynomial.constant(residue), linear(root))
+    parts = partial_fractions(r)
+    assert parts.quotient == quotient
+    assert parts.terms == tuple(sorted(poles.items()))
+    assert parts.recombined() == r
+
+
 def factored_polys(max_numerator: int):
     """(p, roots, residual) where p is built from known factors.
 
@@ -139,3 +162,161 @@ def test_rational_roots_match_construction(case):
 def test_rational_roots_of_large_numerators(case):
     """Root finding by lifting costs bits, not magnitude: 18-digit poles are cheap."""
     assert_roots_found(case)
+
+
+# -- wide coefficients, each operation against a Fraction reference ----------
+
+wide_scalars = st.builds(Fraction, st.integers(-(2**200), 2**200), st.integers(1, 10**6))
+wide_polys = st.lists(wide_scalars, max_size=7).map(lambda cs: Polynomial(tuple(cs)))
+wide_nonzero_polys = wide_polys.filter(lambda p: not p.is_zero)
+#: Divisors whose leading coefficient is a large non-unit, over a large denominator.
+wide_divisors = st.builds(
+    lambda cs, lead: Polynomial(tuple(cs) + (lead,)),
+    st.lists(wide_scalars, max_size=5),
+    st.builds(Fraction, st.integers(2**100, 2**200) | st.integers(-(2**200), -(2**100)), st.integers(1, 10**6)),
+)
+small_rationals = st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**6))
+
+
+def stripped(coeffs) -> tuple[Fraction, ...]:
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def reference_sum(a, b) -> tuple[Fraction, ...]:
+    width = max(len(a), len(b))
+    return stripped(x + y for x, y in zip(list(a) + [0] * (width - len(a)), list(b) + [0] * (width - len(b))))
+
+
+def reference_divmod(a, b) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """Schoolbook long division with one Fraction multiply-subtract per term."""
+    remainder = list(a)
+    if len(a) < len(b):
+        return (), stripped(remainder)
+    quotient = [Fraction(0)] * (len(a) - len(b) + 1)
+    for k in reversed(range(len(quotient))):
+        q = quotient[k] = remainder[k + len(b) - 1] / b[-1]
+        for j, c in enumerate(b):
+            remainder[k + j] -= q * c
+    return stripped(quotient), stripped(remainder[: len(b) - 1])
+
+
+def reference_gcd(a, b) -> tuple[Fraction, ...]:
+    """Monic gcd by Euclid over the rationals."""
+    a, b = stripped(a), stripped(b)
+    while b:
+        a, b = b, reference_divmod(a, b)[1]
+    return tuple(c / a[-1] for c in a) if a else ()
+
+
+def reference_eval(a, x: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+@bounded
+@given(wide_polys, wide_nonzero_polys | wide_divisors)
+def test_wide_divmod_matches_fraction_division(a, b):
+    q, r = divmod(a, b)
+    assert (q.coeffs, r.coeffs) == reference_divmod(a.coeffs, b.coeffs)
+    assert_canonical(q)
+    assert_canonical(r)
+
+
+@bounded
+@given(wide_polys, wide_divisors)
+def test_wide_exact_division_by_large_leading_coefficient(a, b):
+    q, r = divmod(a * b, b)
+    assert q == a and r.is_zero
+
+
+@bounded
+@given(wide_nonzero_polys, wide_polys, wide_polys)
+def test_wide_gcd_matches_fraction_euclid(common, f, h):
+    a, b = common * f, common * h
+    g = poly_gcd(a, b)
+    assert g.coeffs == reference_gcd(a.coeffs, b.coeffs)
+    assert_canonical(g)
+
+
+@bounded
+@given(wide_polys, wide_polys)
+def test_wide_gcd_of_unrelated_pairs(a, b):
+    assert poly_gcd(a, b).coeffs == reference_gcd(a.coeffs, b.coeffs)
+
+
+@bounded
+@given(wide_polys, small_rationals | wide_scalars)
+def test_wide_evaluation_matches_horner(a, x):
+    value = a(x)
+    assert type(value) is Fraction
+    assert value == reference_eval(a.coeffs, x)
+    assert a(x.numerator) == reference_eval(a.coeffs, Fraction(x.numerator))
+
+
+@bounded
+@given(wide_polys)
+def test_wide_calculus_and_monic(a):
+    diff = a.diff()
+    assert diff.coeffs == stripped(k * c for k, c in enumerate(a.coeffs))[1:]
+    integral = a.integral()
+    assert integral.coeffs == stripped([Fraction(0)] + [c / (k + 1) for k, c in enumerate(a.coeffs)])
+    assert_canonical(diff)
+    assert_canonical(integral)
+    monic = a.monic()
+    assert monic.coeffs == tuple(c / a.coeffs[-1] for c in a.coeffs)
+    assert_canonical(monic)
+
+
+@bounded
+@given(wide_polys.filter(lambda p: p.degree < 4), wide_polys.filter(lambda p: p.degree < 3))
+def test_wide_compose_matches_fraction_horner(outer, inner):
+    expected: tuple[Fraction, ...] = ()
+    for c in reversed(outer.coeffs):
+        expected = reference_sum(reference_product(Polynomial(expected), inner), (c,))
+    composed = outer.compose(inner)
+    assert composed.coeffs == expected
+    assert_canonical(composed)
+
+
+@bounded
+@given(wide_polys, wide_polys, wide_scalars)
+def test_wide_sum_and_product_match_fractions(a, b, c):
+    assert (a + b).coeffs == reference_sum(a.coeffs, b.coeffs)
+    assert (-a).coeffs == tuple(-x for x in a.coeffs)
+    assert (a - b).coeffs == reference_sum(a.coeffs, (-b).coeffs)
+    assert (a * b).coeffs == reference_product(a, b)
+    assert (a * c).coeffs == stripped(x * c for x in a.coeffs)
+    for p in (a + b, a - b, -a, a * b, a * c):
+        assert_canonical(p)
+
+
+@bounded
+@given(polys, polys)
+def test_equality_is_coefficient_equality(p, q):
+    assert (p == q) == (p.coeffs == q.coeffs)
+    assert (p != q) == (p.coeffs != q.coeffs)
+    if p == q:
+        assert hash(p) == hash(q)
+
+
+@bounded
+@given(wide_polys, wide_scalars.filter(bool))
+def test_equal_polynomials_built_differently_hash_alike(p, c):
+    rebuilt = Polynomial(tuple(x * c for x in p.coeffs))
+    assert p * c == rebuilt and hash(p * c) == hash(rebuilt)
+    assert (p * c) * (1 / c) == p and hash((p * c) * (1 / c)) == hash(p)
+    assert p + p == p * 2 and hash(p + p) == hash(p * 2)
+
+
+def test_equal_polynomials_hash_alike():
+    built = [Polynomial.of(2, 4), Polynomial.of(1, 2) * 2, Polynomial.of(Fraction(1, 3), Fraction(2, 3)) * 6]
+    built += [Polynomial((Fraction(4, 2), Fraction(8, 2), Fraction(0))), Polynomial.of(1, 2) + Polynomial.of(1, 2)]
+    assert len({hash(p) for p in built}) == 1
+    assert all(p == built[0] for p in built)
+    assert len({p: None for p in built}) == 1
+    assert Polynomial.of(2, 4) != Polynomial.of(1, 2)
