@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Iterable, Union
 
 Rational = Fraction
 
@@ -59,34 +59,56 @@ def _coerce_scalar(value: Scalar) -> Fraction:
     raise TypeError(f"not an exact scalar: {value!r}")
 
 
-def _stripped(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
-    end = len(coeffs)
-    while end and not coeffs[end - 1]:
+def _primitive(content: Fraction, ints: list[int]) -> tuple[Fraction, tuple[int, ...]]:
+    """content * ints in canonical form: no trailing zeros, primitive ints, positive lead."""
+    end = len(ints)
+    while end and not ints[end - 1]:
         end -= 1
-    return tuple(coeffs[:end])
+    if not end:
+        return _NIL, ()
+    ints = ints[:end]
+    g = math.gcd(*ints)
+    if ints[-1] < 0:
+        g = -g
+    if g == 1:
+        return content, tuple(ints)
+    return content * g, tuple(c // g for c in ints)
 
 
-def _integer_form(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]:
-    """Integers n_k and a common denominator d with coeffs[k] == n_k / d."""
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
+_NIL = Fraction(0)
+_UNIT = Fraction(1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Polynomial:
-    """Dense univariate polynomial; ``coeffs[k]`` is the degree-k coefficient."""
+    """Dense univariate polynomial ``content * sum(ints[k] * x**k)``.
 
-    coeffs: tuple[Fraction, ...] = ()
+    ``ints`` is primitive with a positive leading entry, so the pair is
+    canonical; ``coeffs[k]`` is the degree-k coefficient as a ``Fraction``.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", _stripped([_coerce_scalar(c) for c in self.coeffs]))
+    content: Fraction
+    ints: tuple[int, ...]
+
+    def __init__(self, coeffs: Iterable[Scalar] = ()) -> None:
+        coeffs = [_coerce_scalar(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in coeffs))
+        content, ints = _primitive(Fraction(1, den), [c.numerator * (den // c.denominator) for c in coeffs])
+        object.__setattr__(self, "content", content)
+        object.__setattr__(self, "ints", ints)
 
     @classmethod
-    def _trusted(cls, coeffs: list[Fraction]) -> Polynomial:
-        """Wrap coefficients already known to be Fractions, skipping coercion."""
+    def _raw(cls, content: Fraction, ints: tuple[int, ...]) -> Polynomial:
+        """Wrap a pair already in canonical form, skipping every check."""
         poly = object.__new__(cls)
-        object.__setattr__(poly, "coeffs", _stripped(coeffs))
+        object.__setattr__(poly, "content", content)
+        object.__setattr__(poly, "ints", ints)
         return poly
+
+    @classmethod
+    def _make(cls, content: Fraction, ints: list[int]) -> Polynomial:
+        """content * ints, brought to canonical form."""
+        return cls._raw(*_primitive(content, ints))
 
     @classmethod
     def of(cls, *coeffs: Scalar) -> Polynomial:
@@ -104,24 +126,29 @@ class Polynomial:
         return cls((Fraction(0),) * degree + (Fraction(coeff),))
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        content = self.content
+        return tuple(content * c for c in self.ints)
+
+    @property
     def degree(self) -> int:
         """Degree; the zero polynomial has degree -1."""
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     @property
     def leading(self) -> Fraction:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.content * self.ints[-1]
 
     def coefficient(self, degree: int) -> Fraction:
-        if 0 <= degree < len(self.coeffs):
-            return self.coeffs[degree]
-        return Fraction(0)
+        if 0 <= degree < len(self.ints):
+            return self.content * self.ints[degree]
+        return _NIL
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -130,13 +157,23 @@ class Polynomial:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        if not other.ints:
+            return self
+        if not self.ints:
+            return other
+        # self + other = content * (sa * self.ints + sb * other.ints), where
+        # content is the gcd of the two contents.
+        na, da = self.content.numerator, self.content.denominator
+        nb, db = other.content.numerator, other.content.denominator
+        gn, gd = math.gcd(na, nb), math.gcd(da, db)
+        sa, sb = na // gn * (db // gd), nb // gn * (da // gd)
+        a, b = self.ints, other.ints
         if len(a) < len(b):
-            a, b = b, a
-        merged = list(a)
+            a, b, sa, sb = b, a, sb, sa
+        merged = [sa * c for c in a]
         for i, c in enumerate(b):
-            merged[i] += c
-        return Polynomial._trusted(merged)
+            merged[i] += sb * c
+        return Polynomial._make(Fraction(gn, da // gd * db), merged)
 
     __radd__ = __add__
 
@@ -150,24 +187,25 @@ class Polynomial:
         return -(self - other)
 
     def __neg__(self) -> Polynomial:
-        return Polynomial._trusted([-c for c in self.coeffs])
+        return Polynomial._raw(-self.content, self.ints)
 
     def __mul__(self, other: Polynomial | Scalar) -> Polynomial:
         if isinstance(other, (int, Fraction)):
-            return Polynomial._trusted([c * other for c in self.coeffs])
+            if not other or not self.ints:
+                return ZERO
+            return Polynomial._raw(self.content * other, self.ints)
         if not isinstance(other, Polynomial):
             return NotImplemented
         if self.is_zero or other.is_zero:
             return ZERO
-        a, a_den = _integer_form(self.coeffs)
-        b, b_den = _integer_form(other.coeffs)
+        # Gauss's lemma: the product of primitive polynomials is primitive.
+        a, b = self.ints, other.ints
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
                     out[i + j] += x * y
-        den = a_den * b_den
-        return Polynomial._trusted([Fraction(c, den) for c in out])
+        return Polynomial._raw(self.content * other.content, tuple(out))
 
     __rmul__ = __mul__
 
@@ -185,20 +223,37 @@ class Polynomial:
         return result
 
     def __divmod__(self, other: Polynomial) -> tuple[Polynomial, Polynomial]:
+        """Fraction-free long division of the ints.
+
+        Before a step whose leading term c the divisor's leading entry does
+        not divide, the remainder and the quotient so far are scaled by
+        lead / gcd(c, lead); ``scale`` collects those factors, so that
+        scale * self.ints == quotient * other.ints + remainder throughout.
+        """
         other = _as_poly(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        divisor, top = other.coeffs, other.degree
+        divisor, top = other.ints, other.degree
         if self.degree < top:
             return ZERO, self
-        remainder = list(self.coeffs)
-        quotient = [Fraction(0)] * (self.degree - top + 1)
+        lead = divisor[-1]
+        remainder = list(self.ints)
+        quotient = [0] * (self.degree - top + 1)
+        scale = 1
         for k in reversed(range(len(quotient))):
-            q = quotient[k] = remainder[k + top] / divisor[top]
-            if q:
+            c = remainder[k + top]
+            if c:
+                g = math.gcd(c, lead)
+                if g != lead:
+                    m = lead // g
+                    scale *= m
+                    remainder[: k + top] = [r * m for r in remainder[: k + top]]
+                    quotient[k + 1 :] = [q * m for q in quotient[k + 1 :]]
+                q = quotient[k] = c // g
                 for j in range(top):
                     remainder[k + j] -= q * divisor[j]
-        return Polynomial._trusted(quotient), Polynomial._trusted(remainder[:top])
+        content = self.content / scale
+        return Polynomial._make(content / other.content, quotient), Polynomial._make(content, remainder[:top])
 
     def __floordiv__(self, other: Polynomial) -> Polynomial:
         return divmod(self, other)[0]
@@ -207,31 +262,35 @@ class Polynomial:
         return divmod(self, other)[1]
 
     def __call__(self, point: Scalar) -> Fraction:
-        """Evaluate by Horner's rule."""
+        """Evaluate by Horner's rule on the ints, homogenized at point = p/q."""
         x = _coerce_scalar(point)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        p, q = x.numerator, x.denominator
+        acc, q_power = 0, 1
+        for c in reversed(self.ints):
+            acc = acc * p + c * q_power
+            q_power *= q
+        # acc is the value times q**degree, and q_power is q**(degree + 1).
+        return Fraction(self.content.numerator * acc * q, self.content.denominator * q_power)
 
     def diff(self) -> Polynomial:
-        return Polynomial._trusted([c * k for k, c in enumerate(self.coeffs) if k > 0])
+        return Polynomial._make(self.content, [k * c for k, c in enumerate(self.ints)][1:])
 
     def integral(self) -> Polynomial:
         """Antiderivative with integration constant fixed to zero."""
-        return Polynomial._trusted([Fraction(0)] + [c / (k + 1) for k, c in enumerate(self.coeffs)])
+        den = math.lcm(*range(1, len(self.ints) + 1))
+        return Polynomial._make(self.content / den, [0] + [c * (den // k) for k, c in enumerate(self.ints, 1)])
 
     def compose(self, inner: Polynomial) -> Polynomial:
         """Substitution self(inner(x)), exact."""
         acc = ZERO
-        for c in reversed(self.coeffs):
+        for c in reversed(self.ints):
             acc = acc * inner + c
-        return acc
+        return acc * self.content
 
     def monic(self) -> Polynomial:
         if self.is_zero:
             return self
-        return self * (1 / self.leading)
+        return Polynomial._raw(Fraction(1, self.ints[-1]), self.ints)
 
     def to_text(self, var: str = "x") -> str:
         return _render_poly(self, var, latex=False)
@@ -243,22 +302,23 @@ class Polynomial:
         return self.to_text()
 
 
-ZERO = Polynomial()
-ONE = Polynomial((Fraction(1),))
-X = Polynomial((Fraction(0), Fraction(1)))
+ZERO = Polynomial._raw(_NIL, ())
+ONE = Polynomial._raw(_UNIT, (1,))
+X = Polynomial._raw(_UNIT, (0, 1))
 
 
 def _as_poly(value: Polynomial | Scalar) -> Polynomial:
     if isinstance(value, Polynomial):
         return value
     if isinstance(value, (int, Fraction)):
-        return Polynomial((Fraction(value),))
+        return ONE * value
     return NotImplemented
 
 
 def linear(root: Scalar) -> Polynomial:
     """The monic factor (x - root)."""
-    return Polynomial((-Fraction(root), Fraction(1)))
+    root = Fraction(root)
+    return Polynomial._raw(Fraction(1, root.denominator), (-root.numerator, root.denominator))
 
 
 def nth_derivative(p: Polynomial, order: int) -> Polynomial:
@@ -269,9 +329,14 @@ def nth_derivative(p: Polynomial, order: int) -> Polynomial:
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic greatest common divisor by Euclid's algorithm."""
+    """Monic greatest common divisor by Euclid on primitive parts (primitive PRS).
+
+    Each remainder is already primitive; dropping its content keeps the
+    scale factors of the fraction-free divisions from piling up in it.
+    """
     while not b.is_zero:
-        a, b = b, (a % b).monic()
+        r = a % b
+        a, b = b, Polynomial._raw(_UNIT, r.ints) if r.ints else ZERO
     return a.monic()
 
 
@@ -455,9 +520,7 @@ def _root_candidates(p: Polynomial) -> list[Fraction]:
     """
     common = poly_gcd(p, p.diff())
     g = p // common if common.degree > 0 else p
-    ints, _ = _integer_form(g.coeffs)
-    content = math.gcd(*ints)
-    ints = [c // content for c in ints]
+    ints = g.ints
     slopes = [k * c for k, c in enumerate(ints)][1:]
     lead = ints[-1]
     # Finitely many primes divide l or the discriminant of the square-free g,
@@ -489,13 +552,14 @@ def rational_roots(p: Polynomial) -> tuple[list[Fraction], Polynomial]:
     candidate, so a candidate that is no root is rejected by exact arithmetic.
     """
     zeros = 0
-    while zeros < p.degree and not p.coeffs[zeros]:
+    while zeros < p.degree and not p.ints[zeros]:
         zeros += 1
     roots = [Fraction(0)] * zeros
-    current = Polynomial._trusted(list(p.coeffs[zeros:]))
+    current = Polynomial._raw(p.content, p.ints[zeros:])
     if current.degree == 1:
-        roots.append(-current.coeffs[0] / current.coeffs[1])
-        current = Polynomial._trusted([current.coeffs[1]])
+        a0, a1 = current.ints
+        roots.append(Fraction(-a0, a1))
+        current = Polynomial._raw(current.content * a1, (1,))
     elif current.degree > 1:
         for root in _root_candidates(current):
             quotient, remainder = divmod(current, linear(root))
@@ -504,6 +568,12 @@ def rational_roots(p: Polynomial) -> tuple[list[Fraction], Polynomial]:
                 current = quotient
                 quotient, remainder = divmod(current, linear(root))
     return roots, current
+
+
+def _named(label: str, p: Polynomial) -> str:
+    """The label and p, or the label and p's degree once p takes over 80 characters."""
+    text = str(p)
+    return f"{label} {text}" if len(text) <= 80 else f"{label} of degree {p.degree}"
 
 
 def partial_fractions(r: RationalFunction) -> PartialFractions:
@@ -518,12 +588,10 @@ def partial_fractions(r: RationalFunction) -> PartialFractions:
         return PartialFractions(quotient, ())
     den = r.den
     if poly_gcd(den, den.diff()).degree > 0:
-        raise RepeatedPoleError(f"denominator {den} has a repeated factor")
+        raise RepeatedPoleError(f"{_named('denominator', den)} has a repeated factor")
     roots, residual = rational_roots(den)
     if residual.degree > 0:
-        raise IrreducibleFactorError(
-            f"denominator factor {residual} is irreducible over the rationals"
-        )
+        raise IrreducibleFactorError(f"{_named('denominator factor', residual)} is irreducible over the rationals")
     dprime = den.diff()
     terms = tuple((root, remainder(root) / dprime(root)) for root in sorted(roots))
     return PartialFractions(quotient, terms)

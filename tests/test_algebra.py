@@ -183,6 +183,27 @@ class TestPartialFractions:
         with pytest.raises(IrreducibleFactorError):
             partial_fractions(rf(ONE, Polynomial.of(1, 0, 1)))
 
+    def test_long_polynomials_are_named_by_degree(self):
+        # Eisenstein at 3: x^30 + 3x^29 + ... + 3x + 3 is irreducible over Q.
+        irreducible = Polynomial.of(*[3] * 30, 1)
+        assert len(str(irreducible)) > 80
+        with pytest.raises(IrreducibleFactorError) as caught:
+            partial_fractions(rf(ONE, irreducible * (X - 1)))
+        assert str(caught.value) == "denominator factor of degree 30 is irreducible over the rationals"
+        with pytest.raises(RepeatedPoleError) as caught:
+            partial_fractions(rf(ONE, (X + 1) ** 40))
+        assert str(caught.value) == "denominator of degree 40 has a repeated factor"
+
+    def test_names_of_80_characters_are_kept(self):
+        kept, long = X**2 * Polynomial.of(*[1] * 13), X**3 * Polynomial.of(*[1] * 13)
+        assert (len(str(kept)), len(str(long))) == (80, 81)
+        with pytest.raises(RepeatedPoleError) as caught:
+            partial_fractions(rf(ONE, kept))
+        assert str(caught.value) == f"denominator {kept} has a repeated factor"
+        with pytest.raises(RepeatedPoleError) as caught:
+            partial_fractions(rf(ONE, long))
+        assert str(caught.value) == "denominator of degree 15 has a repeated factor"
+
     def test_recombination_property(self):
         rng = random.Random(11)
         roots_pool = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2)]

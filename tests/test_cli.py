@@ -208,6 +208,32 @@ class TestFactorize:
         assert done.stdout == ""
         assert done.stderr == "error: degree 262144 exceeds the limit 512 at position 12\n"
 
+    def test_degree_300_drift_within_two_seconds(self):
+        done = run_process("factorize", "--family", "legendre", "--n", "2", "--drift", "(x+3)^300/(x+1)^200")
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == "error: drift outside the integrable class: denominator of degree 201 has a repeated factor\n"
+
+    def test_long_out_of_class_error_is_short(self, capsys):
+        code, out, err = run(capsys, "factorize", "--family", "legendre", "--n", "2", "--drift", "1/(x+1)^512")
+        assert code == 2
+        assert out == ""
+        assert len(err.encode()) < 200
+        assert err == "error: drift outside the integrable class: denominator of degree 513 has a repeated factor\n"
+
+    @pytest.mark.parametrize(
+        "drift,message",
+        [
+            ("1/(x-1)^2", "denominator x^3 - x^2 - x + 1 has a repeated factor"),
+            ("1/(x^2+1)", "denominator factor x^2 + 1 is irreducible over the rationals"),
+        ],
+    )
+    def test_short_out_of_class_error_names_the_polynomial(self, capsys, drift, message):
+        code, out, err = run(capsys, "factorize", "--family", "legendre", "--n", "2", "--drift", drift)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: drift outside the integrable class: {message}\n"
+
 
 @pytest.mark.parametrize(
     "error,message",
