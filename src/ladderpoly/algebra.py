@@ -196,16 +196,23 @@ class Polynomial:
             return Polynomial._raw(self.content * other, self.ints)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return ZERO
-        # Gauss's lemma: the product of primitive polynomials is primitive.
         a, b = self.ints, other.ints
+        if not a or not b:
+            return ZERO
+        c, d = self.content, other.content
+        content = d if c == 1 else c if d == 1 else c * d
+        # A constant's ints are (1,), and by Gauss's lemma the product of
+        # primitive polynomials is primitive.
+        if len(a) == 1:
+            return Polynomial._raw(content, b)
+        if len(b) == 1:
+            return Polynomial._raw(content, a)
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
                     out[i + j] += x * y
-        return Polynomial._raw(self.content * other.content, tuple(out))
+        return Polynomial._raw(content, tuple(out))
 
     __rmul__ = __mul__
 
@@ -252,8 +259,9 @@ class Polynomial:
                 q = quotient[k] = c // g
                 for j in range(top):
                     remainder[k + j] -= q * divisor[j]
-        content = self.content / scale
-        return Polynomial._make(content / other.content, quotient), Polynomial._make(content, remainder[:top])
+        content = self.content if scale == 1 else self.content / scale
+        d = other.content
+        return Polynomial._make(content if d == 1 else content / d, quotient), Polynomial._make(content, remainder[:top])
 
     def __floordiv__(self, other: Polynomial) -> Polynomial:
         return divmod(self, other)[0]
@@ -359,9 +367,9 @@ class RationalFunction:
                 g = poly_gcd(num, den)
                 if g.degree > 0:
                     num, den = num // g, den // g
-            lead = den.leading
-            if lead != 1:
-                num, den = num * (1 / lead), den * (1 / lead)
+            monic = den.monic()
+            if monic.content != den.content:
+                num, den = num * (monic.content / den.content), monic
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
