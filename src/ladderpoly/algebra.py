@@ -1,19 +1,28 @@
 """Exact univariate polynomial and rational-function arithmetic over the rationals.
 
 Scalars are ``fractions.Fraction`` throughout (exported here as ``Rational``):
-arbitrary precision, always reduced, positive denominator.  A polynomial is a
-dense tuple of coefficients indexed by degree with no trailing zeros; the zero
-polynomial is the empty tuple.  A rational function keeps its denominator monic
-and coprime to the numerator, so equal functions have identical representations.
+arbitrary precision, always reduced, positive denominator.  A polynomial is
+stored as one rational content times a dense tuple of Python ``int``s indexed
+by degree, as FLINT's ``fmpq_poly`` is.  The ints are primitive (their gcd is
+1), have a positive leading entry and no trailing zeros; the zero polynomial
+is content 0 with no ints.  The pair is canonical, so equality and hashing
+compare it, and ``coeffs`` builds the ``Fraction`` coefficients only when
+asked.  A rational function keeps its denominator monic and coprime to the
+numerator, so equal functions have identical representations.
 
-A product scales each operand to integers by the lcm of its denominators,
-convolves ``int``s and makes one ``Fraction`` per output coefficient.  Long
-division updates one coefficient list in place, with no polynomial built per
-step.  Both wrap their results with ``Polynomial._trusted``, which skips
-coercion.  ``RationalFunction`` runs Euclid only when numerator and
-denominator are both nonconstant: a nonzero constant has no factor of
-positive degree, so such a pair is already coprime and dividing by the
-leading coefficient alone gives the canonical form.
+Arithmetic runs on the ints and touches the content once per result.  A
+product multiplies the contents and convolves the ints, with no gcd: by
+Gauss's lemma a product of primitive polynomials is primitive.  A sum scales
+both operands to one content and takes one gcd.  Long division is
+fraction-free: the remainder is scaled by the divisor's leading entry over
+its gcd with the term being cancelled, and only when that factor is not 1.
+``poly_gcd`` runs Euclid on primitive parts, the primitive polynomial
+remainder sequence (Knuth, TAOCP vol. 2, 4.6.1; Brown and Traub 1971).
+Evaluation at p/q runs Horner's rule on the ints and builds one ``Fraction``.
+``RationalFunction`` runs Euclid only when numerator and denominator are both
+nonconstant: a nonzero constant has no factor of positive degree, so such a
+pair is already coprime and making the denominator monic gives the canonical
+form.
 
 The module also provides partial-fraction decomposition and symbolic
 integration for rational functions whose denominators split into distinct
@@ -319,7 +328,7 @@ def _as_poly(value: Polynomial | Scalar) -> Polynomial:
     if isinstance(value, Polynomial):
         return value
     if isinstance(value, (int, Fraction)):
-        return ONE * value
+        return Polynomial._raw(_coerce_scalar(value), (1,)) if value else ZERO
     return NotImplemented
 
 
