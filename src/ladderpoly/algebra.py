@@ -270,7 +270,8 @@ class Polynomial:
                     remainder[k + j] -= q * divisor[j]
         content = self.content if scale == 1 else self.content / scale
         d = other.content
-        return Polynomial._make(content if d == 1 else content / d, quotient), Polynomial._make(content, remainder[:top])
+        quotient_content = content if d == 1 else content / d
+        return Polynomial._make(quotient_content, quotient), Polynomial._make(content, remainder[:top])
 
     def __floordiv__(self, other: Polynomial) -> Polynomial:
         return divmod(self, other)[0]

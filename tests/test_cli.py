@@ -227,6 +227,7 @@ class TestFactorize:
             ("1/(x-1)^2", "denominator x^3 - x^2 - x + 1 has a repeated factor"),
             ("1/(x^2+1)", "denominator factor x^2 + 1 is irreducible over the rationals"),
         ],
+        ids=["repeated", "irreducible"],
     )
     def test_short_out_of_class_error_names_the_polynomial(self, capsys, drift, message):
         code, out, err = run(capsys, "factorize", "--family", "legendre", "--n", "2", "--drift", drift)

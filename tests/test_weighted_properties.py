@@ -17,19 +17,19 @@ small_polys = st.lists(scalars, max_size=3).map(lambda cs: Polynomial(tuple(cs))
 roots = st.sampled_from([Fraction(-2), Fraction(-1), Fraction(0), Fraction(1), Fraction(1, 2)])
 exponents = st.builds(Fraction, st.integers(-5, 5), st.sampled_from([1, 2, 3]))
 powers = st.lists(st.builds(PowerFactor, roots, exponents), max_size=2).map(tuple)
+
+
+def over_linear_factors(num: Polynomial, den_roots: list[Fraction]) -> RationalFunction:
+    den = Polynomial.constant(1)
+    for root in den_roots:
+        den = den * linear(root)
+    return RationalFunction(num, den)
+
+
 coefficients = st.builds(
-    lambda num, den_roots: RationalFunction(num, Polynomial.constant(1) if not den_roots else _product(den_roots)),
-    small_polys.filter(lambda p: not p.is_zero),
-    st.lists(roots, max_size=2, unique=True),
+    over_linear_factors, small_polys.filter(lambda p: not p.is_zero), st.lists(roots, max_size=2, unique=True)
 )
 weighted = st.builds(WeightedExpression, coefficients, powers, small_polys)
-
-
-def _product(den_roots) -> Polynomial:
-    out = Polynomial.constant(1)
-    for root in den_roots:
-        out = out * linear(root)
-    return out
 
 
 def assert_same_structure(a: WeightedExpression, b: WeightedExpression) -> None:
