@@ -122,17 +122,17 @@ class Polynomial:
     @classmethod
     def of(cls, *coeffs: Scalar) -> Polynomial:
         """Build from coefficients listed in ascending degree order."""
-        return cls(tuple(Fraction(c) for c in coeffs))
+        return cls(coeffs)
 
     @classmethod
     def constant(cls, value: Scalar) -> Polynomial:
-        return cls((Fraction(value),))
+        return cls((value,))
 
     @classmethod
     def monomial(cls, coeff: Scalar, degree: int) -> Polynomial:
         if degree < 0:
             raise ValueError("degree must be nonnegative")
-        return cls((Fraction(0),) * degree + (Fraction(coeff),))
+        return cls((0,) * degree + (coeff,))
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -335,7 +335,7 @@ def _as_poly(value: Polynomial | Scalar) -> Polynomial:
 
 def linear(root: Scalar) -> Polynomial:
     """The monic factor (x - root)."""
-    root = Fraction(root)
+    root = _coerce_scalar(root)
     return Polynomial._raw(Fraction(1, root.denominator), (-root.numerator, root.denominator))
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .algebra import Polynomial
 from .families import FamilySpec, KINDS, generate_assoc_legendre, generate_ladder, make_operator
-from .ladder import LOWERING, OutOfClassError, RAISING, factorize, verify_factorization
+from .ladder import LOWERING, OutOfClassError, RAISING, factorize, rational_part, verify_factorization
 from .parsing import ParseError, parse_expression
 from .verify import SUITE_NAMES, run_suite, standard_testers
 from .weighted import WeightedExpression, as_weighted
@@ -179,12 +179,7 @@ def cmd_factorize(args) -> int:
     op = make_operator(spec, args.direction)
     drift = parse_expression(args.drift)
     if args.drift_is_h:
-        reduced = as_weighted(drift) / op.a
-        if reduced.powers or not reduced.exp_arg.is_zero:
-            raise OutOfClassError(
-                f"h/a = {reduced} is not a rational function; supply the reduced drift instead"
-            )
-        drift = reduced.coeff
+        drift = rational_part(as_weighted(drift) / op.a, "h/a")
     fac = factorize(op, drift)
     report = verify_factorization(op, fac, standard_testers())
     if args.json:

@@ -44,15 +44,12 @@ X_SQ_MINUS_1 = Polynomial.of(-1, 0, 1)
 
 def qpow(exponent: Fraction | int) -> WeightedExpression:
     """(x^2-1)^exponent in the canonical split basis (x-1)^e (x+1)^e."""
-    e = Fraction(exponent)
-    return WeightedExpression(
-        RationalFunction(ONE), ((Fraction(1), e), (Fraction(-1), e))
-    )
+    return WeightedExpression(RationalFunction(ONE), ((1, exponent), (-1, exponent)))
 
 
 def rpow(exponent: Fraction | int) -> WeightedExpression:
     """r^exponent, a power factor at the origin."""
-    return WeightedExpression.power(0, Fraction(exponent))
+    return WeightedExpression.power(0, exponent)
 
 
 def odd_double_factorial(k: int) -> int:

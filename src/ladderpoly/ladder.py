@@ -107,7 +107,7 @@ class Factorization:
         return -(self.g2 * (self.f1 * u).diff()) + self.h * u
 
 
-def _rational_part(w: WeightedExpression, what: str) -> RationalFunction:
+def rational_part(w: WeightedExpression, what: str) -> RationalFunction:
     if w.powers or not w.exp_arg.is_zero:
         raise OutOfClassError(f"{what} is not a rational function: {w}")
     return w.coeff
@@ -124,7 +124,7 @@ def factorize(
     or irrational pole.
     """
     t = as_rational_function(drift)
-    ratio = _rational_part(op.b / op.a, "b/a")
+    ratio = rational_part(op.b / op.a, "b/a")
     try:
         if op.form == RAISING:
             g2 = exp_integral(integrate_rational(ratio - t), 1)

@@ -7,9 +7,11 @@ operator factorization and Rodrigues chain in this package be evaluated
 exactly.
 
 Canonical form:
-  * power exponents keep only their fractional part in (0, 1); integer parts
-    are folded into the rational coefficient, so two equal members are
-    structurally identical;
+  * power exponents keep only their fractional part in (0, 1), so two equal
+    members are structurally identical.  The constructor folds in one pass:
+    it merges each root's exponents, splits each sum with divmod(e, 1) and
+    multiplies all integer parts into one numerator and one denominator, so
+    it builds at most one RationalFunction;
   * the constant term of the exponential argument is dropped (a factor
     exp(const) is not rational, and every comparison downstream is made up to
     a nonzero scalar anyway);
@@ -19,7 +21,8 @@ Canonical form:
 The last point means the canonical base is always (x - root).  On (-1, 1) the
 split form differs from (1-x^2)^(1/2) by a constant phase that has no rational
 representation; callers compare against printed (1-x^2)-style displays via
-``scalar_ratio`` or after full chains, where the ambiguity cancels.
+``scalar_ratio`` or after full chains, where the ambiguity cancels.  Roots
+and exponents are exact scalars (int or Fraction); a float raises TypeError.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 from .algebra import (
     ONE,
@@ -36,6 +39,7 @@ from .algebra import (
     IntegrationResult,
     Scalar,
     ZERO,
+    _coerce_scalar,
     as_rational_function,
     linear,
 )
@@ -47,16 +51,11 @@ class NotPolynomialError(ValueError):
     """Raised when extraction demands a polynomial but weights survive."""
 
 
-@dataclass(frozen=True)
-class PowerFactor:
+class PowerFactor(NamedTuple):
     """A factor (x - root)^exponent; canonical exponents lie strictly in (0, 1)."""
 
     root: Fraction
     exponent: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "root", Fraction(self.root))
-        object.__setattr__(self, "exponent", Fraction(self.exponent))
 
 
 @dataclass(frozen=True)
@@ -69,31 +68,23 @@ class WeightedExpression:
         coeff = as_rational_function(self.coeff)
         if not isinstance(self.exp_arg, Polynomial):
             raise TypeError("exp_arg must be a Polynomial")
+        merged: dict[Fraction, Fraction] = {}
+        for root, exponent in self.powers:
+            root = _coerce_scalar(root)
+            merged[root] = merged.get(root, 0) + _coerce_scalar(exponent)
         arg = self.exp_arg
         if coeff.is_zero:
-            object.__setattr__(self, "coeff", coeff)
-            object.__setattr__(self, "powers", ())
-            object.__setattr__(self, "exp_arg", ZERO)
-            return
-        merged: dict[Fraction, Fraction] = {}
-        for pf in self.powers:
-            root, exponent = (pf.root, pf.exponent) if isinstance(pf, PowerFactor) else pf
-            root, exponent = Fraction(root), Fraction(exponent)
-            merged[root] = merged.get(root, Fraction(0)) + exponent
-        kept: list[PowerFactor] = []
-        for root in sorted(merged):
-            whole = math.floor(merged[root])
-            frac = merged[root] - whole
-            if whole > 0:
-                coeff = coeff * RationalFunction(linear(root) ** whole, ONE)
-            elif whole < 0:
-                coeff = coeff * RationalFunction(ONE, linear(root) ** (-whole))
-            if frac:
-                kept.append(PowerFactor(root, frac))
+            merged, arg = {}, ZERO
+        splits = [(root, *divmod(merged[root], 1)) for root in sorted(merged)]
+        total = sum(abs(whole) for _, whole, _ in splits)
+        if total:
+            num = math.prod((linear(root) ** whole for root, whole, _ in splits if whole > 0), start=coeff.num)
+            den = math.prod((linear(root) ** -whole for root, whole, _ in splits if whole < 0), start=coeff.den)
+            coeff = RationalFunction(num, den)
         if arg.coefficient(0) != 0:
             arg = arg - arg.coefficient(0)
         object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "powers", tuple(kept))
+        object.__setattr__(self, "powers", tuple(PowerFactor(root, frac) for root, _, frac in splits if frac))
         object.__setattr__(self, "exp_arg", arg)
 
     # -- constructors -------------------------------------------------------
@@ -117,7 +108,7 @@ class WeightedExpression:
     @classmethod
     def power(cls, root: Scalar, exponent: Scalar) -> WeightedExpression:
         """(x - root)^exponent for any rational exponent."""
-        return cls(RationalFunction(ONE), (PowerFactor(Fraction(root), Fraction(exponent)),))
+        return cls(RationalFunction(ONE), ((root, exponent),))
 
     @classmethod
     def exp_of(cls, argument: Polynomial) -> WeightedExpression:
@@ -186,7 +177,7 @@ class WeightedExpression:
             raise ZeroDivisionError("division by the zero weighted expression")
         if self.is_zero:
             return WeightedExpression.zero()
-        inverted = tuple(PowerFactor(pf.root, -pf.exponent) for pf in other.powers)
+        inverted = tuple((root, -exponent) for root, exponent in other.powers)
         return WeightedExpression(
             self.coeff / other.coeff,
             self.powers + inverted,
@@ -293,5 +284,5 @@ def exp_integral(result: IntegrationResult, sign: int = 1) -> WeightedExpression
     """exp(sign * integral): power factors from residues, exponential from the polynomial part."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    powers = tuple(PowerFactor(root, sign * residue) for root, residue in result.log_terms)
+    powers = tuple((root, sign * residue) for root, residue in result.log_terms)
     return WeightedExpression(RationalFunction(ONE), powers, result.poly_part * sign)

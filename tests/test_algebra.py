@@ -81,6 +81,21 @@ class TestPolynomial:
         assert p == Polynomial.of(1, 2, 3)
         assert {p: 1}[Polynomial.of(1, 2, 3)] == 1
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Polynomial.of(0.1),
+            lambda: Polynomial.constant("1/3"),
+            lambda: Polynomial.monomial(0.5, 2),
+            lambda: linear(0.5),
+            lambda: Polynomial((0.1,)),
+        ],
+        ids=["of-float", "constant-string", "monomial-float", "linear-float", "init-float"],
+    )
+    def test_inexact_scalars_rejected(self, build):
+        with pytest.raises(TypeError, match="not an exact scalar"):
+            build()
+
     def test_gcd_monic(self):
         a = (X - 1) * (X + 2) * 3
         b = (X - 1) * (X - 5) * Fraction(1, 7)

@@ -185,6 +185,13 @@ class TestFactorize:
         )
         assert code == 2
 
+    def test_drift_is_h_message(self, capsys):
+        code, out, err = run(
+            capsys, "factorize", "--family", "assoc-legendre", "--n", "2", "--m", "1", "--drift", "x", "--drift-is-h"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: h/a is not a rational function: (x)/(x^2 - 1) * (x + 1)^(1/2) * (x - 1)^(1/2)\n"
+
     def test_deeply_nested_drift_is_usage_error(self, capsys):
         nested = "(" * 3000 + "x" + ")" * 3000
         code, out, err = run(capsys, "factorize", "--family", "legendre", "--n", "2", "--drift", nested)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ladderpoly import algebra
 from ladderpoly.algebra import (
     ONE,
     Polynomial,
@@ -67,6 +68,29 @@ class TestNormalization:
         )
         assert w.powers == ()
         assert w.coeff == as_rational_function(X - 1)
+
+    @pytest.mark.parametrize("root,exponent", [(0.5, 1), (1, 0.5), ("1/2", 1)])
+    def test_inexact_scalars_rejected(self, root, exponent):
+        with pytest.raises(TypeError, match="not an exact scalar"):
+            WeightedExpression.power(root, exponent)
+
+    def test_fold_builds_one_rational_function(self, monkeypatch):
+        coeff = RationalFunction(X + 2, X - 3)
+        powers = ((1, Fraction(7, 2)), (-1, -2), (0, 3), (1, HALF), (2, Fraction(3, 2)))
+        expected = RationalFunction((X + 2) * (X - 1) ** 4 * X**3 * (X - 2), (X - 3) * (X + 1) ** 2)
+        built = []
+        post_init = algebra.RationalFunction.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(algebra.RationalFunction, "__post_init__", counted)
+        w = WeightedExpression(coeff, powers)
+        assert len(built) == 1
+        assert w.coeff == expected
+        assert w.powers == (PowerFactor(Fraction(2), HALF),)
+
 
 
 class TestDifferentiation:
