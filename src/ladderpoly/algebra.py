@@ -47,6 +47,9 @@ Rational = Fraction
 
 Scalar = Union[int, Fraction]
 
+#: The degree limit on parsed expressions and on a weight's folded integer powers.
+MAX_EXPONENT = 512
+
 
 class DecompositionError(ValueError):
     """The rational function lies outside the supported integrable class."""

@@ -27,9 +27,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import Polynomial, RationalFunction, X, as_rational_function
+from .algebra import MAX_EXPONENT, Polynomial, RationalFunction, X, as_rational_function
 
-MAX_EXPONENT = 512
 MAX_COEFFICIENT_BITS = 4096
 MAX_NESTING = 100
 

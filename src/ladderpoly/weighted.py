@@ -11,7 +11,8 @@ Canonical form:
     members are structurally identical.  The constructor folds in one pass:
     it merges each root's exponents, splits each sum with divmod(e, 1) and
     multiplies all integer parts into one numerator and one denominator, so
-    it builds at most one RationalFunction;
+    it builds at most one RationalFunction.  Integer parts totalling more
+    than algebra.MAX_EXPONENT raise ValueError before anything is built;
   * the constant term of the exponential argument is dropped (a factor
     exp(const) is not rational, and every comparison downstream is made up to
     a nonzero scalar anyway);
@@ -33,6 +34,7 @@ from fractions import Fraction
 from typing import NamedTuple, Union
 
 from .algebra import (
+    MAX_EXPONENT,
     ONE,
     Polynomial,
     RationalFunction,
@@ -77,6 +79,8 @@ class WeightedExpression:
             merged, arg = {}, ZERO
         splits = [(root, *divmod(merged[root], 1)) for root in sorted(merged)]
         total = sum(abs(whole) for _, whole, _ in splits)
+        if total > MAX_EXPONENT:
+            raise ValueError(f"weight of integer degree {total} exceeds the limit {MAX_EXPONENT}")
         if total:
             num = math.prod((linear(root) ** whole for root, whole, _ in splits if whole > 0), start=coeff.num)
             den = math.prod((linear(root) ** -whole for root, whole, _ in splits if whole < 0), start=coeff.den)

@@ -192,6 +192,22 @@ class TestFactorize:
         assert (code, out) == (2, "")
         assert err == "error: h/a is not a rational function: (x)/(x^2 - 1) * (x + 1)^(1/2) * (x - 1)^(1/2)\n"
 
+    @pytest.mark.parametrize(
+        "argv,degree",
+        [
+            (("--family", "legendre", "--n", "2", "--drift", "100000000/x"), 100000002),
+            (("--family", "coulomb-radial", "--n", "1", "--ell", "100000000", "--drift", "0"), 100000001),
+            (("--family", "laguerre", "--n", "1", "--alpha", "100000000", "--drift", "0"), 100000001),
+            (("--family", "legendre", "--n", "1000000000000000000000000", "--drift", "x"), 10**24),
+        ],
+        ids=["large-residue", "large-ell", "large-alpha", "large-n"],
+    )
+    def test_huge_weight_is_usage_error_within_two_seconds(self, argv, degree):
+        done = run_process("factorize", *argv)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == f"error: weight of integer degree {degree} exceeds the limit 512\n"
+
     def test_deeply_nested_drift_is_usage_error(self, capsys):
         nested = "(" * 3000 + "x" + ")" * 3000
         code, out, err = run(capsys, "factorize", "--family", "legendre", "--n", "2", "--drift", nested)

@@ -91,6 +91,19 @@ class TestNormalization:
         assert w.coeff == expected
         assert w.powers == (PowerFactor(Fraction(2), HALF),)
 
+    @pytest.mark.parametrize(
+        "powers,total",
+        [(((0, 513),), 513), (((1, 300), (-1, -213)), 513), (((1, 257), (-1, 257)), 514), (((0, Fraction(-1025, 2)),), 513)],
+    )
+    def test_fold_degree_is_bounded(self, powers, total):
+        with pytest.raises(ValueError, match=f"weight of integer degree {total} exceeds the limit 512"):
+            WeightedExpression(RationalFunction(ONE), powers)
+
+    def test_fold_up_to_the_limit(self):
+        assert WeightedExpression.power(0, 512).coeff == RationalFunction(X**512)
+        w = WeightedExpression.power(0, Fraction(1025, 2))
+        assert w.coeff == RationalFunction(X**512) and w.powers == (PowerFactor(Fraction(0), HALF),)
+        assert WeightedExpression(RationalFunction(ZERO), ((0, 10**30),)).is_zero
 
 
 class TestDifferentiation:
