@@ -5,7 +5,8 @@ input that exhausts the recursion limit or memory also ends as an ``error:``
 line with exit code 2, never as a traceback.
 
 Coefficients serialize as exact "p/q" strings.  CSV rows list coefficients in
-ascending degree order; LaTeX renders descending.
+ascending degree order; LaTeX renders descending.  Neither carries a weight,
+so a table whose members keep one (odd-m associated Legendre) needs JSON.
 """
 
 from __future__ import annotations
@@ -140,6 +141,8 @@ def _render_gen(args, spec: FamilySpec, records: list[dict]) -> str:
         return json.dumps(
             {"family": spec.kind, "params": spec.params(), "records": records}, indent=2
         )
+    if any("weight" in r for r in records):
+        raise ValueError(f"{args.format} output cannot carry the weight of these {spec.kind} members; use --format json")
     if args.format == "csv":
         lines = [",".join([str(r["n"])] + r["coefficients"]) for r in records]
         return "\n".join(lines)

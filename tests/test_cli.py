@@ -82,6 +82,18 @@ class TestGen:
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["family"] == "legendre"
 
+    @pytest.mark.parametrize("fmt", ["csv", "latex"])
+    def test_odd_m_weight_needs_json(self, capsys, fmt):
+        code, out, err = run(capsys, "gen", "--family", "assoc-legendre", "--m", "1", "--n-max", "2", "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {fmt} output cannot carry the weight of these assoc-legendre members; use --format json\n"
+
+    def test_even_m_csv_has_no_weight(self, capsys):
+        code, out, _ = run(capsys, "gen", "--family", "assoc-legendre", "--m", "2", "--n-max", "3", "--format", "csv")
+        assert code == 0
+        assert out.splitlines() == ["2,-3,0,3", "3,0,-15,0,15"]
+
     def test_unknown_family(self, capsys):
         code, _, err = run(capsys, "gen", "--family", "jacobi", "--n-max", "2")
         assert code == 2
