@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--negative-control",
         action="store_true",
-        help="testing hook: corrupt one generated coefficient so the suite must fail",
+        help="testing hook: corrupt one generated coefficient so the oracle suite (and all) must fail",
     )
 
     fac = sub.add_parser(
@@ -218,7 +218,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             return cmd_verify(args)
         return cmd_factorize(args)
-    except (ParseError, OutOfClassError, ValueError, ZeroDivisionError, RecursionError, MemoryError) as exc:
+    except (ParseError, OutOfClassError, ValueError, ZeroDivisionError, RecursionError, MemoryError, OSError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 

@@ -164,7 +164,7 @@ def suite_rodrigues(n_max: int) -> list[IdentityReport]:
 
 def _identities(*ids: str):
     """Runner for identity checks, looked up in identities._CHECKS when it runs."""
-    return lambda n_max, negative_control: [identity_check(i, n_max) for i in ids]
+    return lambda n_max: [identity_check(i, n_max) for i in ids]
 
 
 def _as_given(n_max: int) -> int:
@@ -180,8 +180,8 @@ _SUITES = {
     "remark3term": (lambda n: max(n, 3), _identities("remark3term", "remark3term-legendre")),
     "eq34": (_as_given, _identities("eq34", "eq33-35")),
     "assoc-relations": (lambda n: min(n, 12), _identities("assoc-relations")),
-    "factorization": (_as_given, lambda n_max, negative_control: suite_factorization()),
-    "rodrigues": (_as_given, lambda n_max, negative_control: suite_rodrigues(n_max)),
+    "factorization": (_as_given, lambda n_max: suite_factorization()),
+    "rodrigues": (_as_given, suite_rodrigues),
 }
 
 #: ``all`` runs every suite above, then these identity checks.
@@ -196,8 +196,11 @@ def run_suite(suite: str, n_max: int, negative_control: bool = False) -> SuiteRe
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}")
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
+    if negative_control and suite not in ("oracle", "all"):
+        raise ValueError(f"the negative control corrupts only the oracle suite, which {suite!r} does not run")
     entries = [*_SUITES.values(), _ALL_ONLY] if suite == "all" else [_SUITES[suite]]
     result = SuiteResult(suite, n_max)
     for rule, runner in entries:
-        result.reports += runner(rule(n_max), negative_control)
+        n = rule(n_max)
+        result.reports += suite_oracle(n, negative_control) if runner is suite_oracle else runner(n)
     return result

@@ -94,6 +94,14 @@ class TestGen:
         assert code == 0
         assert out.splitlines() == ["2,-3,0,3", "3,0,-15,0,15"]
 
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path, where):
+        target = tmp_path / "missing" / "table.json" if where == "missing-directory" else tmp_path
+        code, out, err = run(capsys, "gen", "--family", "legendre", "--n-max", "1", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: [Errno ") and str(target) in err
+
     def test_unknown_family(self, capsys):
         code, _, err = run(capsys, "gen", "--family", "jacobi", "--n-max", "2")
         assert code == 2
@@ -126,6 +134,13 @@ class TestVerify:
         assert code == 1
         assert "FAIL" in out
         assert "discrepancy" in out
+
+    @pytest.mark.parametrize("suite", ["eq31", "rodrigues", "factorization"])
+    def test_negative_control_rejected_where_it_corrupts_nothing(self, capsys, suite):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--n-max", "3", "--negative-control")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: the negative control corrupts only the oracle suite, which '{suite}' does not run\n"
 
     def test_json_report(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "eq34", "--n-max", "6", "--json")
