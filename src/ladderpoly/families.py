@@ -14,9 +14,9 @@ parameter, the least index and the printed raising and lowering a*D + b;
 ``_LADDERS`` holds the seeds, the operator index offset, the scale c_k and the
 ground weight of the step p_k = c_k R p_(k-1); ``_RECURRENCES`` holds
 (p_1, k -> (A_k, B_k, C_k)) for p_(k+1) = (A_k x + B_k) p_k - C_k p_(k-1);
-``_RODRIGUES`` holds (1/w, w sigma^n, 1/K_n) for p_n = (1/(K_n w)) D^n
-(w sigma^n); ``_CHAINS`` holds, per family and chain variant, the least n and
-the steps of the chain [left, D, *middle] applied to an operand.  ``KINDS``
+``_CHAINS`` holds, per family and Rodrigues form (the standard
+p_n = (1/(K_n w)) D^n (w sigma^n) or a chain variant), the least n and the
+chain [left, *steps] applied to an operand.  ``KINDS``
 and ``GENERATING_KINDS`` are the keys of ``_OPERATORS`` and ``_LADDERS``.
 Rows are functions of the index and the spec, so no weighted expression is
 built at import time.
@@ -342,29 +342,107 @@ def assoc_legendre_iterated(n: int, m: int) -> WeightedExpression:
 # ---------------------------------------------------------------------------
 
 
-#: kind -> (n, spec) -> (1/w, w sigma^n, 1/K_n) in p_n = (1/(K_n w)) D^n (w sigma^n).
-_RODRIGUES = {
-    "legendre": lambda n, s: (qpow(0), qpow(n), Fraction(1, 2**n * math.factorial(n))),
-    "chebyshev-U": lambda n, s: (
+def _hermite_radial_row(n: int, spec: FamilySpec) -> tuple:
+    # H_(2k) and H_(2k+1) through the x = r^2 Laguerre chains at alpha = -+1/2.
+    # The even display's prefactor is r^(2-2k): the printed r^(-2k) is
+    # inconsistent with the Laguerre reduction and fails to cancel the weights.
+    # The odd display's prefactor carries the extra r of H_(2k+1) ~ r L_k^(1/2)(r^2).
+    k, parity = divmod(n, 2)
+    sign = -1 if k % 2 else 1
+    left = rpow(2 - 2 * k - parity) * WeightedExpression.exp_of(X * X)
+    operand = rpow(1 + 2 * parity) * WeightedExpression.exp_of(-(X * X))
+    return left, [DIFF] + [rpow(3), DIFF] * (k - 1), operand, Fraction(sign * 2 ** (k + parity))
+
+
+#: (kind, variant) -> (least n, (n, spec) -> (left, steps, operand, scale)):
+#: p_n = scale * [left, *steps] applied to operand.  A standard row is the
+#: printed p_n = (1/(K_n w)) D^n (w sigma^n), with left 1/w, steps D^n, operand
+#: w sigma^n and scale 1/K_n.  An h0-chain's steps are D, then [(x^2-1)^(3/2),
+#: D] repeated, or [r^3, D] in r; a one-step split's are [D, (x^2-1)^(n/2), D,
+#: ..., D].
+_CHAINS = {
+    ("legendre", "standard"): (0, lambda n, s: (qpow(0), [DIFF] * n, qpow(n), Fraction(1, 2**n * math.factorial(n)))),
+    ("chebyshev-U", "standard"): (0, lambda n, s: (
         qpow(Fraction(-1, 2)),
+        [DIFF] * n,
         qpow(Fraction(2 * n + 1, 2)),
         Fraction(n + 1, odd_double_factorial(2 * n + 1)),
-    ),
-    "chebyshev-T": lambda n, s: (
+    )),
+    ("chebyshev-T", "standard"): (0, lambda n, s: (
         qpow(Fraction(1, 2)),
+        [DIFF] * n,
         qpow(Fraction(2 * n - 1, 2)),
         Fraction(1, odd_double_factorial(2 * n - 1)),
-    ),
-    "gegenbauer": lambda n, s: (
+    )),
+    ("gegenbauer", "standard"): (0, lambda n, s: (
         qpow(Fraction(1, 2) - s.lam),
+        [DIFF] * n,
         qpow(n + s.lam - Fraction(1, 2)),
         Fraction(2**n) * pochhammer(s.lam, n) / (math.factorial(n) * pochhammer(n + 2 * s.lam, n)),
-    ),
-    "laguerre": lambda n, s: (
+    )),
+    ("laguerre", "standard"): (0, lambda n, s: (
         rpow(-s.alpha) * WeightedExpression.exp_of(X),
+        [DIFF] * n,
         rpow(n + s.alpha) * WeightedExpression.exp_of(-X),
         Fraction(1, math.factorial(n)),
-    ),
+    )),
+    ("legendre", "h0-chain"): (1, lambda n, s: (
+        qpow(Fraction(2 - n, 2)),
+        [DIFF] + [qpow(Fraction(3, 2)), DIFF] * (n - 1),
+        qpow(Fraction(1, 2)),
+        Fraction(1, math.factorial(n)),
+    )),
+    ("chebyshev-U", "h0-chain"): (1, lambda n, s: (
+        qpow(Fraction(1 - n, 2)),
+        [DIFF] + [qpow(Fraction(3, 2)), DIFF] * (n - 1),
+        qpow(1),
+        Fraction(1, math.factorial(n)),
+    )),
+    ("chebyshev-T", "h0-chain"): (2, lambda n, s: (
+        qpow(Fraction(3 - n, 2)),
+        [DIFF] + [qpow(Fraction(3, 2)), DIFF] * (n - 2),
+        qpow(Fraction(1, 2)) * X,
+        Fraction(1, math.factorial(n - 1)),
+    )),
+    ("gegenbauer", "h0-chain"): (1, lambda n, s: (
+        qpow(Fraction(3 - n, 2) - s.lam),
+        [DIFF] + [qpow(Fraction(3, 2)), DIFF] * (n - 1),
+        qpow(s.lam),
+        Fraction(1, math.factorial(n)),
+    )),
+    ("laguerre-radial", "h0-chain"): (1, lambda n, s: (
+        rpow(1 - 2 * (n + s.alpha)) * WeightedExpression.exp_of(X * X),
+        [DIFF] + [rpow(3), DIFF] * (n - 1),
+        rpow(2 * (s.alpha + 1)) * WeightedExpression.exp_of(-(X * X)),
+        Fraction(1, math.factorial(n) * 2**n),
+    )),
+    ("hermite", "h0-chain"): (2, _hermite_radial_row),
+    ("legendre", "one-step-split"): (1, lambda n, s: (
+        qpow(Fraction(2 - n, 2)),
+        [DIFF, qpow(Fraction(n, 2))] + [DIFF] * (n - 1),
+        qpow(n - 1),
+        Fraction(1, 2 ** (n - 1) * math.factorial(n)),
+    )),
+    ("chebyshev-U", "one-step-split"): (1, lambda n, s: (
+        qpow(Fraction(1 - n, 2)),
+        [DIFF, qpow(Fraction(n, 2))] + [DIFF] * (n - 1),
+        qpow(Fraction(2 * n - 1, 2)),
+        Fraction(1, odd_double_factorial(2 * n - 1)),
+    )),
+    ("chebyshev-T", "one-step-split"): (2, lambda n, s: (
+        qpow(Fraction(3 - n, 2)),
+        [DIFF, qpow(Fraction(n, 2))] + [DIFF] * (n - 1),
+        qpow(Fraction(2 * n - 3, 2)),
+        Fraction(1, odd_double_factorial(2 * n - 3) * (n - 1)),
+    )),
+    ("gegenbauer", "one-step-split"): (1, lambda n, s: (
+        qpow(Fraction(3 - n, 2) - s.lam),
+        [DIFF, qpow(Fraction(n, 2))] + [DIFF] * (n - 1),
+        qpow(n + s.lam - Fraction(3, 2)),
+        Fraction(2 ** (n - 1))
+        * pochhammer(s.lam, n - 1)
+        / (math.factorial(n) * pochhammer(n + 2 * s.lam - 1, n - 1)),
+    )),
 }
 
 
@@ -375,87 +453,7 @@ def rodrigues_standard(spec: FamilySpec) -> Polynomial:
     1/K_n fold in the net (-1)^n basis phase so the result matches the
     recurrence oracle exactly.
     """
-    if spec.kind not in _RODRIGUES:
-        raise ValueError(f"family {spec.kind!r} has no printed n-fold Rodrigues formula")
-    left, operand, scale = _RODRIGUES[spec.kind](spec.n, spec)
-    return (left * apply_chain([DIFF] * spec.n, operand) * scale).as_polynomial()
-
-
-def _hermite_radial_row(n: int, spec: FamilySpec) -> tuple:
-    # H_(2k) and H_(2k+1) through the x = r^2 Laguerre chains at alpha = -+1/2.
-    # The even display's prefactor is r^(2-2k): the printed r^(-2k) is
-    # inconsistent with the Laguerre reduction and fails to cancel the weights.
-    # The odd display's prefactor carries the extra r of H_(2k+1) ~ r L_k^(1/2)(r^2).
-    k, parity = divmod(n, 2)
-    sign = -1 if k % 2 else 1
-    left = rpow(2 - 2 * k - parity) * WeightedExpression.exp_of(X * X)
-    operand = rpow(1 + 2 * parity) * WeightedExpression.exp_of(-(X * X))
-    return left, [rpow(3), DIFF] * (k - 1), operand, Fraction(sign * 2 ** (k + parity))
-
-
-#: (kind, variant) -> (least n, (n, spec) -> (left, middle, operand, scale)):
-#: p_n = scale * [left, D, *middle] applied to operand.  An h0-chain's middle
-#: repeats [(x^2-1)^(3/2), D], or [r^3, D] in r; a one-step split's is
-#: [(x^2-1)^(n/2), D, ..., D].
-_CHAINS = {
-    ("legendre", "h0-chain"): (1, lambda n, s: (
-        qpow(Fraction(2 - n, 2)),
-        [qpow(Fraction(3, 2)), DIFF] * (n - 1),
-        qpow(Fraction(1, 2)),
-        Fraction(1, math.factorial(n)),
-    )),
-    ("chebyshev-U", "h0-chain"): (1, lambda n, s: (
-        qpow(Fraction(1 - n, 2)),
-        [qpow(Fraction(3, 2)), DIFF] * (n - 1),
-        qpow(1),
-        Fraction(1, math.factorial(n)),
-    )),
-    ("chebyshev-T", "h0-chain"): (2, lambda n, s: (
-        qpow(Fraction(3 - n, 2)),
-        [qpow(Fraction(3, 2)), DIFF] * (n - 2),
-        qpow(Fraction(1, 2)) * X,
-        Fraction(1, math.factorial(n - 1)),
-    )),
-    ("gegenbauer", "h0-chain"): (1, lambda n, s: (
-        qpow(Fraction(3 - n, 2) - s.lam),
-        [qpow(Fraction(3, 2)), DIFF] * (n - 1),
-        qpow(s.lam),
-        Fraction(1, math.factorial(n)),
-    )),
-    ("laguerre-radial", "h0-chain"): (1, lambda n, s: (
-        rpow(1 - 2 * (n + s.alpha)) * WeightedExpression.exp_of(X * X),
-        [rpow(3), DIFF] * (n - 1),
-        rpow(2 * (s.alpha + 1)) * WeightedExpression.exp_of(-(X * X)),
-        Fraction(1, math.factorial(n) * 2**n),
-    )),
-    ("hermite", "h0-chain"): (2, _hermite_radial_row),
-    ("legendre", "one-step-split"): (1, lambda n, s: (
-        qpow(Fraction(2 - n, 2)),
-        [qpow(Fraction(n, 2))] + [DIFF] * (n - 1),
-        qpow(n - 1),
-        Fraction(1, 2 ** (n - 1) * math.factorial(n)),
-    )),
-    ("chebyshev-U", "one-step-split"): (1, lambda n, s: (
-        qpow(Fraction(1 - n, 2)),
-        [qpow(Fraction(n, 2))] + [DIFF] * (n - 1),
-        qpow(Fraction(2 * n - 1, 2)),
-        Fraction(1, odd_double_factorial(2 * n - 1)),
-    )),
-    ("chebyshev-T", "one-step-split"): (2, lambda n, s: (
-        qpow(Fraction(3 - n, 2)),
-        [qpow(Fraction(n, 2))] + [DIFF] * (n - 1),
-        qpow(Fraction(2 * n - 3, 2)),
-        Fraction(1, odd_double_factorial(2 * n - 3) * (n - 1)),
-    )),
-    ("gegenbauer", "one-step-split"): (1, lambda n, s: (
-        qpow(Fraction(3 - n, 2) - s.lam),
-        [qpow(Fraction(n, 2))] + [DIFF] * (n - 1),
-        qpow(n + s.lam - Fraction(3, 2)),
-        Fraction(2 ** (n - 1))
-        * pochhammer(s.lam, n - 1)
-        / (math.factorial(n) * pochhammer(n + 2 * s.lam - 1, n - 1)),
-    )),
-}
+    return _rodrigues(spec, "standard")
 
 
 def rodrigues_chain(spec: FamilySpec, variant: str) -> Polynomial:
@@ -467,10 +465,15 @@ def rodrigues_chain(spec: FamilySpec, variant: str) -> Polynomial:
     """
     if variant not in ("h0-chain", "one-step-split"):
         raise ValueError(f"unknown chain variant: {variant!r}")
+    return _rodrigues(spec, variant)
+
+
+def _rodrigues(spec: FamilySpec, variant: str) -> Polynomial:
+    """The (kind, variant) row of ``_CHAINS`` evaluated at spec."""
     if (spec.kind, variant) not in _CHAINS:
         raise ValueError(f"family {spec.kind!r} has no printed {variant} form")
     least, row = _CHAINS[spec.kind, variant]
     if spec.n < least:
         raise ValueError(f"the {variant} form of {spec.kind} needs n >= {least}")
-    left, middle, operand, scale = row(spec.n, spec)
-    return (apply_chain([left, DIFF, *middle], operand) * scale).as_polynomial()
+    left, steps, operand, scale = row(spec.n, spec)
+    return (apply_chain([left, *steps], operand) * scale).as_polynomial()

@@ -184,6 +184,10 @@ class TestRodriguesStandard:
             ):
                 assert rodrigues_standard(s) == oracle_recurrence(s), s
 
+    def test_family_without_standard_form(self):
+        with pytest.raises(ValueError, match="family 'hermite' has no printed standard form"):
+            rodrigues_standard(spec("hermite", 2))
+
 
 class TestRodriguesChain:
     def test_chebyshev_u_n1_h0(self):
