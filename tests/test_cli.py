@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ from ladderpoly import cli
 from ladderpoly.algebra import Polynomial
 from ladderpoly.cli import main
 from ladderpoly.families import FamilySpec, generate_ladder, oracle_recurrence
+from ladderpoly.ladder import factorize
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -218,6 +220,17 @@ class TestFactorize:
         )
         assert (code, out) == (2, "")
         assert err == "error: h/a is not a rational function: (x)/(x^2 - 1) * (x + 1)^(1/2) * (x - 1)^(1/2)\n"
+
+    def test_failed_factorization_exits_one(self, capsys, monkeypatch):
+        def doubled_h(op, drift):
+            fac = factorize(op, drift)
+            return dataclasses.replace(fac, h=fac.h * 2)
+
+        monkeypatch.setattr(cli, "factorize", doubled_h)
+        code, out, err = run(capsys, "factorize", "--family", "legendre", "--n", "2", "--drift", "x")
+        assert code == 1
+        assert err == ""
+        assert out.splitlines()[-1] == "verification: 0/5 testers exact; first failure on 1"
 
     @pytest.mark.parametrize(
         "argv,degree",
