@@ -324,7 +324,8 @@ def generate_assoc_legendre(n: int, m: int) -> WeightedExpression:
     operators; ``identities.check_assoc_relations`` checks the two agree.
     """
     FamilySpec("assoc-legendre", n, m=m)  # rejects any m outside 0..n
-    return qpow(Fraction(m, 2)) * nth_derivative(oracle_recurrence(FamilySpec("legendre", n)), m)
+    derivative = nth_derivative(oracle_recurrence(FamilySpec("legendre", n)), m)
+    return qpow(Fraction(m % 2, 2)) * (X_SQ_MINUS_1 ** (m // 2) * derivative)
 
 
 def assoc_legendre_iterated(n: int, m: int) -> WeightedExpression:

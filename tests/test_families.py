@@ -1,4 +1,5 @@
 import inspect
+import math
 import sys
 from fractions import Fraction
 
@@ -261,6 +262,12 @@ class TestAssocLegendre:
         for n in range(6):
             w = generate_assoc_legendre(n, 0)
             assert w.as_polynomial() == oracle_recurrence(spec("legendre", n))
+
+    @pytest.mark.parametrize("m", [520, 521])
+    def test_order_past_the_weight_fold_limit(self, m):
+        w = generate_assoc_legendre(m, m)
+        top = Fraction(math.factorial(2 * m), 2**m * math.factorial(m))  # the m-th derivative of P_m
+        assert w == qpow(Fraction(m % 2, 2)) * WeightedExpression.from_polynomial(X_SQ_MINUS_1 ** (m // 2) * top)
 
     def test_iterated_matches_definitional(self):
         for n in range(1, 8):
