@@ -14,10 +14,10 @@ parameter, the least index and the printed raising and lowering a*D + b;
 ``_LADDERS`` holds the seeds, the operator index offset, the scale c_k and the
 ground weight of the step p_k = c_k R p_(k-1); ``_RECURRENCES`` holds
 (p_1, k -> (A_k, B_k, C_k)) for p_(k+1) = (A_k x + B_k) p_k - C_k p_(k-1);
-``_CHAINS`` holds, per family and Rodrigues form (the standard
-p_n = (1/(K_n w)) D^n (w sigma^n) or a chain variant), the least n and the
-chain [left, *steps] applied to an operand.  ``KINDS``
-and ``GENERATING_KINDS`` are the keys of ``_OPERATORS`` and ``_LADDERS``.
+``_CHAINS`` holds, per family and Rodrigues form (the standard p_n =
+(1/(K_n w)) D^n (w sigma^n) or a chain variant), the least n and the chain
+[left, *steps] applied to an operand.  ``KINDS`` and ``GENERATING_KINDS``
+are the keys of ``_OPERATORS`` and ``_LADDERS``.
 Rows are functions of the index and the spec, so no weighted expression is
 built at import time.
 
