@@ -224,6 +224,13 @@ class TestRodriguesChain:
         with pytest.raises(ValueError):
             rodrigues_chain(spec("legendre", 3), "no-such-variant")
 
+    def test_chain_precondition_messages(self):
+        # the message names the kind that was asked for
+        with pytest.raises(ValueError, match=r"^the h0-chain form of legendre needs n >= 1$"):
+            rodrigues_chain(spec("legendre", 0), "h0-chain")
+        with pytest.raises(ValueError, match=r"^the one-step-split form of chebyshev-U needs n >= 1$"):
+            rodrigues_chain(spec("chebyshev-U", 0), "one-step-split")
+
 
 class TestHermiteReductions:
     def test_even_base(self):

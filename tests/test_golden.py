@@ -52,8 +52,12 @@ def _cases() -> dict[str, list[str]]:
             cases[f"gen {family} {fmt}"] = ["gen", "--family", family, "--n-max", "10", "--format", fmt, *params]
     cases["gen assoc-legendre m=2"] = ["gen", "--family", "assoc-legendre", "--m", "2", "--n-max", "8"]
     cases["gen assoc-legendre m=2 latex"] = [*cases["gen assoc-legendre m=2"], "--format", "latex"]
+    # an odd order keeps the (x^2-1)^(1/2) weight in every member
+    cases["gen assoc-legendre m=3"] = ["gen", "--family", "assoc-legendre", "--m", "3", "--n-max", "8"]
     for suite in VERIFY_SUITES:
         cases[f"verify {suite}"] = ["verify", "--suite", suite, "--n-max", "6", "--json"]
+    # every Rodrigues instance up to the suite's cap of n = 12
+    cases["verify rodrigues n=12"] = ["verify", "--suite", "rodrigues", "--n-max", "12", "--json"]
     for family, params in FACTORIZE_SPECS.items():
         cases[f"factorize {family}"] = ["factorize", "--family", family, *params, "--drift", "x^2+1", "--json"]
         if family not in NO_LOWERING:
@@ -86,6 +90,7 @@ GOLDEN = {
     'factorize oscillator-3d': '7e20eee80ef9930739592adfa6892836ed56b032225d68229b0a90907c95b2cf',
     'gen assoc-legendre m=2': '746925c2d74e78fdd1e4d06094e7e96dcd8d7efea79f80ef55874e4a79edef93',
     'gen assoc-legendre m=2 latex': '07a42bb085f34dccc13885d8cc5e3b1917c87f3229a41e2f6151a00553c9eaf0',
+    'gen assoc-legendre m=3': '37546ae196469b9b90d2514ac212282626edd64ca5a6ce277f62f8841155ee51',
     'gen chebyshev-T csv': 'c4fa4497b79dd09c50e2dc32a504e6262092d77e9feed80a9f3c5bcfdd475d77',
     'gen chebyshev-T json': 'e025f1eb5ba5a67ffa5cf6f69fb118ab5178ab3add8901c9b346d46650353e1e',
     'gen chebyshev-T latex': '31a3323f97e401c382695ef9b723ef6d042babca1e1d45b97289e69f32d1013a',
@@ -114,6 +119,7 @@ GOLDEN = {
     'verify oracle': '0759c57bc2576e3bb242221e2b495a55e6cb01bb1a681de01b6dd8e04fc69451',
     'verify remark3term': '5c378e4efd3c433721e2182331def2ef98e516414c561d2ad0719ac7c891dedc',
     'verify rodrigues': 'a1515fa8cb235565a1dee71a7fcd39331339598a90a54f52be253e3e6b2f59b9',
+    'verify rodrigues n=12': '70df0fb5ccbcec4fc91006e01432c39a6626ded6518b59ec2dc6a8e6ef9283b2',
 }
 
 REMAINDER_GOLDEN = "d0e31ac414d1da3f7cf712ff8347642c4a632cc3bd3b4876cd197ee08585be2e"
