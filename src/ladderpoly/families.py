@@ -16,8 +16,10 @@ ground weight of the step p_k = c_k R p_(k-1); ``_RECURRENCES`` holds
 (p_1, k -> (A_k, B_k, C_k)) for p_(k+1) = (A_k x + B_k) p_k - C_k p_(k-1);
 ``_CHAINS`` holds, per family and Rodrigues form (the standard p_n =
 (1/(K_n w)) D^n (w sigma^n) or a chain variant), the least n and the chain
-[left, *steps] applied to an operand.  ``KINDS`` and ``GENERATING_KINDS``
-are the keys of ``_OPERATORS`` and ``_LADDERS``.
+[left, *steps] applied to an operand; Legendre and Chebyshev U read the
+Gegenbauer rows at lambda = 1/2 and 1, since P_n = C_n^(1/2) and U_n =
+C_n^(1), so each printed formula has one row.  ``KINDS`` and
+``GENERATING_KINDS`` are the keys of ``_OPERATORS`` and ``_LADDERS``.
 Rows are functions of the index and the spec, so no weighted expression is
 built at import time.
 
@@ -360,15 +362,11 @@ def _hermite_radial_row(n: int, spec: FamilySpec) -> tuple:
 #: printed p_n = (1/(K_n w)) D^n (w sigma^n), with left 1/w, steps D^n, operand
 #: w sigma^n and scale 1/K_n.  An h0-chain's steps are D, then [(x^2-1)^(3/2),
 #: D] repeated, or [r^3, D] in r; a one-step split's are [D, (x^2-1)^(n/2), D,
-#: ..., D].
+#: ..., D].  Legendre and Chebyshev U have no rows: P_n = C_n^(1/2) and U_n =
+#: C_n^(1) (DLMF 18.7.9, 18.7.4), so they read the gegenbauer rows at the
+#: lambda of ``_GEGENBAUER_LAMBDA``, whose scales reduce to theirs, e.g.
+#: 2^n (1/2)_n / (n! (n+1)_n) = 1/(2^n n!).
 _CHAINS = {
-    ("legendre", "standard"): (0, lambda n, s: (qpow(0), [DIFF] * n, qpow(n), Fraction(1, 2**n * math.factorial(n)))),
-    ("chebyshev-U", "standard"): (0, lambda n, s: (
-        qpow(Fraction(-1, 2)),
-        [DIFF] * n,
-        qpow(Fraction(2 * n + 1, 2)),
-        Fraction(n + 1, odd_double_factorial(2 * n + 1)),
-    )),
     ("chebyshev-T", "standard"): (0, lambda n, s: (
         qpow(Fraction(1, 2)),
         [DIFF] * n,
@@ -385,18 +383,6 @@ _CHAINS = {
         rpow(-s.alpha) * WeightedExpression.exp_of(X),
         [DIFF] * n,
         rpow(n + s.alpha) * WeightedExpression.exp_of(-X),
-        Fraction(1, math.factorial(n)),
-    )),
-    ("legendre", "h0-chain"): (1, lambda n, s: (
-        qpow(Fraction(2 - n, 2)),
-        [DIFF] + [qpow(Fraction(3, 2)), DIFF] * (n - 1),
-        qpow(Fraction(1, 2)),
-        Fraction(1, math.factorial(n)),
-    )),
-    ("chebyshev-U", "h0-chain"): (1, lambda n, s: (
-        qpow(Fraction(1 - n, 2)),
-        [DIFF] + [qpow(Fraction(3, 2)), DIFF] * (n - 1),
-        qpow(1),
         Fraction(1, math.factorial(n)),
     )),
     ("chebyshev-T", "h0-chain"): (2, lambda n, s: (
@@ -418,18 +404,6 @@ _CHAINS = {
         Fraction(1, math.factorial(n) * 2**n),
     )),
     ("hermite", "h0-chain"): (2, _hermite_radial_row),
-    ("legendre", "one-step-split"): (1, lambda n, s: (
-        qpow(Fraction(2 - n, 2)),
-        [DIFF, qpow(Fraction(n, 2))] + [DIFF] * (n - 1),
-        qpow(n - 1),
-        Fraction(1, 2 ** (n - 1) * math.factorial(n)),
-    )),
-    ("chebyshev-U", "one-step-split"): (1, lambda n, s: (
-        qpow(Fraction(1 - n, 2)),
-        [DIFF, qpow(Fraction(n, 2))] + [DIFF] * (n - 1),
-        qpow(Fraction(2 * n - 1, 2)),
-        Fraction(1, odd_double_factorial(2 * n - 1)),
-    )),
     ("chebyshev-T", "one-step-split"): (2, lambda n, s: (
         qpow(Fraction(3 - n, 2)),
         [DIFF, qpow(Fraction(n, 2))] + [DIFF] * (n - 1),
@@ -445,6 +419,9 @@ _CHAINS = {
         / (math.factorial(n) * pochhammer(n + 2 * s.lam - 1, n - 1)),
     )),
 }
+
+#: kind -> the lambda at which it is the Gegenbauer family.
+_GEGENBAUER_LAMBDA = {"legendre": Fraction(1, 2), "chebyshev-U": Fraction(1)}
 
 
 def rodrigues_standard(spec: FamilySpec) -> Polynomial:
@@ -470,11 +447,13 @@ def rodrigues_chain(spec: FamilySpec, variant: str) -> Polynomial:
 
 
 def _rodrigues(spec: FamilySpec, variant: str) -> Polynomial:
-    """The (kind, variant) row of ``_CHAINS`` evaluated at spec."""
-    if (spec.kind, variant) not in _CHAINS:
+    """The (kind, variant) row of ``_CHAINS`` (gegenbauer's for a kind in ``_GEGENBAUER_LAMBDA``) at spec."""
+    lam = _GEGENBAUER_LAMBDA.get(spec.kind)
+    row_spec = spec if lam is None else FamilySpec("gegenbauer", spec.n, lam=lam)
+    if (row_spec.kind, variant) not in _CHAINS:
         raise ValueError(f"family {spec.kind!r} has no printed {variant} form")
-    least, row = _CHAINS[spec.kind, variant]
+    least, row = _CHAINS[row_spec.kind, variant]
     if spec.n < least:
         raise ValueError(f"the {variant} form of {spec.kind} needs n >= {least}")
-    left, steps, operand, scale = row(spec.n, spec)
+    left, steps, operand, scale = row(spec.n, row_spec)
     return (apply_chain([left, *steps], operand) * scale).as_polynomial()
