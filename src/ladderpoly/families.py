@@ -37,21 +37,29 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import ONE, Polynomial, RationalFunction, X, nth_derivative
+from .algebra import ONE, Polynomial, RationalFunction, X, _coerce_scalar, nth_derivative
 from .ladder import DIFF, LOWERING, RAISING, LadderOperator, apply_chain
 from .weighted import WeightedExpression, as_weighted
 
 X_SQ_MINUS_1 = Polynomial.of(-1, 0, 1)
 
 
+def _split_power(base: Polynomial, roots: tuple[int, ...], exponent: Fraction | int) -> WeightedExpression:
+    """base^exponent for base = prod (x - root): the exponent's integer part as a
+    polynomial power, so it never reaches the weight fold's degree bound."""
+    whole, frac = divmod(_coerce_scalar(exponent), 1)
+    coeff = RationalFunction(base**whole) if whole >= 0 else RationalFunction(ONE, base**-whole)
+    return WeightedExpression(coeff, tuple((root, frac) for root in roots))
+
+
 def qpow(exponent: Fraction | int) -> WeightedExpression:
     """(x^2-1)^exponent in the canonical split basis (x-1)^e (x+1)^e."""
-    return WeightedExpression(RationalFunction(ONE), ((1, exponent), (-1, exponent)))
+    return _split_power(X_SQ_MINUS_1, (1, -1), exponent)
 
 
 def rpow(exponent: Fraction | int) -> WeightedExpression:
     """r^exponent, a power factor at the origin."""
-    return WeightedExpression.power(0, exponent)
+    return _split_power(X, (0,), exponent)
 
 
 def odd_double_factorial(k: int) -> int:
@@ -327,7 +335,7 @@ def generate_assoc_legendre(n: int, m: int) -> WeightedExpression:
     """
     FamilySpec("assoc-legendre", n, m=m)  # rejects any m outside 0..n
     derivative = nth_derivative(oracle_recurrence(FamilySpec("legendre", n)), m)
-    return qpow(Fraction(m % 2, 2)) * (X_SQ_MINUS_1 ** (m // 2) * derivative)
+    return qpow(Fraction(m, 2)) * derivative
 
 
 def assoc_legendre_iterated(n: int, m: int) -> WeightedExpression:

@@ -248,6 +248,11 @@ class TestFactorize:
         assert done.stdout == ""
         assert done.stderr == f"error: weight of integer degree {degree} exceeds the limit 512\n"
 
+    def test_drift_weight_past_the_bound_is_usage_error(self, capsys):
+        # the degree bound holds for weights folded from the drift integral
+        code, out, err = run(capsys, "factorize", "--family", "legendre", "--n", "514", "--drift", "0")
+        assert (code, out, err) == (2, "", "error: weight of integer degree 514 exceeds the limit 512\n")
+
     def test_deeply_nested_drift_is_usage_error(self, capsys):
         nested = "(" * 3000 + "x" + ")" * 3000
         code, out, err = run(capsys, "factorize", "--family", "legendre", "--n", "2", "--drift", nested)

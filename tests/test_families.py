@@ -185,6 +185,21 @@ class TestRodriguesStandard:
             ):
                 assert rodrigues_standard(s) == oracle_recurrence(s), s
 
+    def test_past_the_weight_fold_bound(self):
+        # weights of integer degree above 512, built as polynomial powers
+        n = 257
+        for s in (
+            spec("legendre", n),
+            spec("chebyshev-U", n),
+            spec("chebyshev-T", n),
+            spec("gegenbauer", n, lam=Fraction(3, 2)),
+        ):
+            assert rodrigues_standard(s) == oracle_recurrence(s), s
+        for variant in ("h0-chain", "one-step-split"):
+            assert rodrigues_chain(spec("legendre", n), variant) == oracle_recurrence(spec("legendre", n))
+        radial = spec("laguerre-radial", n, alpha=HALF)
+        assert rodrigues_chain(radial, "h0-chain") == oracle_recurrence(radial)
+
     def test_family_without_standard_form(self):
         with pytest.raises(ValueError, match="family 'hermite' has no printed standard form"):
             rodrigues_standard(spec("hermite", 2))
