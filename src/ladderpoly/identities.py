@@ -278,7 +278,7 @@ def remainder_term(n: int, h: Polynomial) -> WeightedExpression:
     if h.is_zero:
         drift_factor = WeightedExpression.one()
     else:
-        drift_factor = exp_integral(integrate_rational(RationalFunction(h, X_SQ_MINUS_1)), 1)
+        drift_factor = exp_integral(integrate_rational(RationalFunction(h, X_SQ_MINUS_1)))
     left = qpow(Fraction(2 - n, 2)) * drift_factor
     steps: list[ChainStep] = [left, DIFF] + [qpow(Fraction(3, 2)), DIFF] * (n - 1)
     chain = apply_chain(steps, qpow(Fraction(1, 2)) / drift_factor)

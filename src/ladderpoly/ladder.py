@@ -127,10 +127,10 @@ def factorize(
     ratio = rational_part(op.b / op.a, "b/a")
     try:
         if op.form == RAISING:
-            g2 = exp_integral(integrate_rational(ratio - t), 1)
+            g2 = exp_integral(integrate_rational(ratio - t))
             f1 = op.a / g2
         else:
-            f1 = exp_integral(integrate_rational(op.a.log_derivative() - ratio + t), 1)
+            f1 = exp_integral(integrate_rational(op.a.log_derivative() - ratio + t))
             g2 = op.a / f1
     except DecompositionError as exc:
         raise OutOfClassError(f"drift outside the integrable class: {exc}") from exc

@@ -284,9 +284,6 @@ def as_weighted(value: Coercible) -> WeightedExpression:
     return out
 
 
-def exp_integral(result: IntegrationResult, sign: int = 1) -> WeightedExpression:
-    """exp(sign * integral): power factors from residues, exponential from the polynomial part."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    powers = tuple((root, sign * residue) for root, residue in result.log_terms)
-    return WeightedExpression(RationalFunction(ONE), powers, result.poly_part * sign)
+def exp_integral(result: IntegrationResult) -> WeightedExpression:
+    """exp(integral): power factors from residues, exponential from the polynomial part."""
+    return WeightedExpression(RationalFunction(ONE), result.log_terms, result.poly_part)

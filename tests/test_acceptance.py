@@ -174,7 +174,7 @@ def test_criterion_06_h0_reduction_matches_printed_pairs():
         WeightedExpression.from_polynomial(a), WeightedExpression.from_polynomial(X * X), LOWERING
     )
     printed_f1 = WeightedExpression.from_polynomial(a) * exp_integral(
-        integrate_rational(RationalFunction(X * X, a)), -1
+        integrate_rational(RationalFunction(-(X * X), a))
     )
     fac = factorize(general, 0)
     cases.append(("general lowering form", fac.f1.scalar_ratio(printed_f1), 1,
