@@ -239,19 +239,15 @@ class TestFactorize:
             (("--family", "coulomb-radial", "--n", "1", "--ell", "100000000", "--drift", "0"), 100000001),
             (("--family", "laguerre", "--n", "1", "--alpha", "100000000", "--drift", "0"), 100000001),
             (("--family", "legendre", "--n", "1000000000000000000000000", "--drift", "x"), 10**24),
+            (("--family", "legendre", "--n", "514", "--drift", "0"), 514),
         ],
-        ids=["large-residue", "large-ell", "large-alpha", "large-n"],
+        ids=["large-residue", "large-ell", "large-alpha", "large-n", "n-past-the-bound"],
     )
     def test_huge_weight_is_usage_error_within_two_seconds(self, argv, degree):
         done = run_process("factorize", *argv)
         assert done.returncode == 2
         assert done.stdout == ""
         assert done.stderr == f"error: weight of integer degree {degree} exceeds the limit 512\n"
-
-    def test_drift_weight_past_the_bound_is_usage_error(self, capsys):
-        # the degree bound holds for weights folded from the drift integral
-        code, out, err = run(capsys, "factorize", "--family", "legendre", "--n", "514", "--drift", "0")
-        assert (code, out, err) == (2, "", "error: weight of integer degree 514 exceeds the limit 512\n")
 
     def test_deeply_nested_drift_is_usage_error(self, capsys):
         nested = "(" * 3000 + "x" + ")" * 3000
