@@ -371,8 +371,8 @@ def _hermite_radial_row(n: int, spec: FamilySpec) -> tuple:
 #: w sigma^n and scale 1/K_n.  An h0-chain's steps are D, then [(x^2-1)^(3/2),
 #: D] repeated, or [r^3, D] in r; a one-step split's are [D, (x^2-1)^(n/2), D,
 #: ..., D].  Legendre and Chebyshev U have no rows: P_n = C_n^(1/2) and U_n =
-#: C_n^(1) (DLMF 18.7.9, 18.7.4), so they read the gegenbauer rows at the
-#: lambda of ``_GEGENBAUER_LAMBDA``, whose scales reduce to theirs, e.g.
+#: C_n^(1) (DLMF §18.7), so they read the gegenbauer rows at the lambda of
+#: ``_GEGENBAUER_LAMBDA``, whose scales reduce to theirs, e.g.
 #: 2^n (1/2)_n / (n! (n+1)_n) = 1/(2^n n!).
 _CHAINS = {
     ("chebyshev-T", "standard"): (0, lambda n, s: (
