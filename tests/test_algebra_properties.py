@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from ladderpoly.algebra import (  # noqa: E402
     ONE,
+    ZERO,
     Polynomial,
     RationalFunction,
     linear,
@@ -320,3 +321,47 @@ def test_equal_polynomials_hash_alike():
     assert all(p == built[0] for p in built)
     assert len({p: None for p in built}) == 1
     assert Polynomial.of(2, 4) != Polynomial.of(1, 2)
+
+
+# -- rational-function arithmetic against the normalizing constructor --------
+
+#: (q*x - p) for small p and q, so that two operands often share a factor.
+linear_factors = st.builds(lambda p, q: Polynomial.of(-p, q), st.integers(-3, 3), st.integers(1, 3))
+#: Quadratics without a rational root.
+quadratic_factors = st.sampled_from([Polynomial.of(1, 0, 1), Polynomial.of(1, 1, 1), Polynomial.of(-3, 0, 2)])
+factor_lists = st.lists(linear_factors | quadratic_factors, max_size=3)
+contents = st.builds(Fraction, st.integers(-12, 12).filter(bool), st.integers(1, 12))
+
+
+def factored(content: Fraction, factors: list[Polynomial]) -> Polynomial:
+    return math.prod(factors, start=Polynomial.constant(content))
+
+
+factored_ratfns = st.builds(
+    lambda nc, nf, dc, df: RationalFunction(factored(nc, nf), factored(dc, df)),
+    contents | st.just(Fraction(0)),
+    factor_lists,
+    contents,
+    factor_lists,
+)
+
+
+def fields(r: RationalFunction) -> tuple:
+    return (r.num.content, r.num.ints, r.den.content, r.den.ints)
+
+
+@settings(max_examples=300, deadline=None)
+@given(factored_ratfns, factored_ratfns, contents)
+def test_arithmetic_matches_normalizing_constructor(a, b, k):
+    """Each result is field-identical to the unreduced pair run through the constructor."""
+    assert fields(a + b) == fields(RationalFunction(a.num * b.den + b.num * a.den, a.den * b.den))
+    assert fields(a - b) == fields(RationalFunction(a.num * b.den - b.num * a.den, a.den * b.den))
+    assert fields(a * b) == fields(RationalFunction(a.num * b.num, a.den * b.den))
+    if not b.is_zero:
+        assert fields(a / b) == fields(RationalFunction(a.num * b.den, a.den * b.num))
+    assert fields(a.diff()) == fields(RationalFunction(a.num.diff() * a.den - a.num * a.den.diff(), a.den * a.den))
+    assert fields(-a) == fields(RationalFunction(-a.num, a.den))
+    assert fields(a + a) == fields(RationalFunction(a.num * 2, a.den))
+    assert fields(a - a) == fields(RationalFunction(ZERO))
+    assert fields(a * k) == fields(RationalFunction(a.num * k, a.den))
+    assert fields(a + b.num) == fields(RationalFunction(a.num + b.num * a.den, a.den))

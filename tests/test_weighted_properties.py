@@ -1,5 +1,6 @@
 """Property tests for the weighted class: canonical structure and the Leibniz rule."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from ladderpoly.algebra import Polynomial, RationalFunction, linear  # noqa: E402
+from ladderpoly.algebra import ONE, Polynomial, RationalFunction, linear  # noqa: E402
 from ladderpoly.weighted import PowerFactor, WeightedExpression  # noqa: E402
 
 bounded = settings(max_examples=60, deadline=None)
@@ -64,3 +65,49 @@ def test_integer_exponent_parts_fold_into_the_coefficient(coeff, root, exponent,
 @given(weighted, weighted)
 def test_leibniz_rule(u, v):
     assert (u * v).diff() == u.diff() * v + u * v.diff()
+
+
+# -- results against the same value rebuilt through the constructor ---------
+
+#: Coefficients whose numerators share linear factors with the weights and denominators.
+sharing_coefficients = st.builds(
+    lambda num, num_roots, den_roots: RationalFunction(
+        math.prod((linear(r) for r in num_roots), start=num), math.prod((linear(r) for r in den_roots), start=ONE)
+    ),
+    small_polys.filter(lambda p: not p.is_zero),
+    st.lists(roots, max_size=2),
+    st.lists(roots, max_size=2, unique=True),
+)
+sharing_weighted = st.builds(WeightedExpression, sharing_coefficients, powers, small_polys)
+
+
+def fields(w: WeightedExpression) -> tuple:
+    c = w.coeff
+    return (c.num.content, c.num.ints, c.den.content, c.den.ints, w.powers, w.exp_arg.content, w.exp_arg.ints)
+
+
+def rebuilt_diff(w: WeightedExpression) -> WeightedExpression:
+    """(c * prod (x - r)^e * exp(p))' with c'/c + p' + sum e/(x - r) over one unreduced denominator."""
+    c, factors = w.coeff, [linear(pf.root) for pf in w.powers]
+    common = math.prod(factors, start=ONE)
+    log_num = w.exp_arg.diff() * common
+    for i, pf in enumerate(w.powers):
+        log_num = log_num + math.prod(factors[:i] + factors[i + 1 :], start=ONE) * pf.exponent
+    num = (c.num.diff() * c.den - c.num * c.den.diff()) * common + c.num * c.den * log_num
+    return WeightedExpression(RationalFunction(num, c.den * c.den * common), w.powers, w.exp_arg)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sharing_weighted, sharing_weighted, sharing_coefficients)
+def test_results_match_constructor_rebuilds(w, v, other_coeff):
+    a, b = w.coeff, v.coeff
+    assert fields(w.diff()) == fields(rebuilt_diff(w))
+    product = WeightedExpression(RationalFunction(a.num * b.num, a.den * b.den), w.powers + v.powers, w.exp_arg + v.exp_arg)
+    assert fields(w * v) == fields(product)
+    u = WeightedExpression(other_coeff, w.powers, w.exp_arg)
+    assert u.weight_cell() == w.weight_cell()
+    c = u.coeff
+    total = RationalFunction(a.num * c.den + c.num * a.den, a.den * c.den)
+    assert fields(w + u) == fields(WeightedExpression(total, w.powers, w.exp_arg))
+    assert fields(-w) == fields(WeightedExpression(RationalFunction(-a.num, a.den), w.powers, w.exp_arg))
+    assert fields(w + -w) == fields(WeightedExpression(RationalFunction(a.num - a.num, a.den), w.powers, w.exp_arg))
