@@ -19,10 +19,22 @@ its gcd with the term being cancelled, and only when that factor is not 1.
 ``poly_gcd`` runs Euclid on primitive parts, the primitive polynomial
 remainder sequence (Knuth, TAOCP vol. 2, 4.6.1; Brown and Traub 1971).
 Evaluation at p/q runs Horner's rule on the ints and builds one ``Fraction``.
-``RationalFunction`` runs Euclid only when numerator and denominator are both
-nonconstant: a nonzero constant has no factor of positive degree, so such a
-pair is already coprime and making the denominator monic gives the canonical
-form.
+
+``RationalFunction`` arithmetic on reduced operands cancels only what can
+cancel, the gcd-saving rules for fractions over a Euclidean domain (Henrici,
+JACM 3, 1956; Knuth, TAOCP vol. 2, 4.5.1), and wraps the result without a
+further gcd:
+
+* (a/b)(c/d) divides out gcd(a, d) and gcd(c, b); a quotient multiplies by
+  the monic reciprocal;
+* a/b + c/d with d1 = gcd(b, d) cancels only gcd(t, d1) from
+  t = a(d/d1) + c(b/d1) over b(d/d1); for b = d that is gcd(a + c, b);
+* (a/b)' = (a'(b/g) - a(b'/g)) / (b(b/g)) with g = gcd(b, b') is reduced in
+  characteristic 0, and negation needs no gcd.
+
+Every cancellation, the public constructor's included, goes through
+``_cancel``, which skips Euclid when either side is constant: a nonzero
+constant has no factor of positive degree.
 
 The module also provides partial-fraction decomposition and symbolic
 integration for rational functions whose denominators split into distinct
@@ -361,6 +373,15 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return a.monic()
 
 
+def _cancel(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """a and b divided by their monic gcd; a constant has no common factor, so no gcd is taken."""
+    if a.degree > 0 and b.degree > 0:
+        g = poly_gcd(a, b)
+        if g.degree > 0:
+            return a // g, b // g
+    return a, b
+
+
 @dataclass(frozen=True)
 class RationalFunction:
     """Quotient of polynomials in canonical form: den monic, gcd(num, den) = 1."""
@@ -376,15 +397,20 @@ class RationalFunction:
         if num.is_zero:
             num, den = ZERO, ONE
         else:
-            if num.degree > 0 and den.degree > 0:
-                g = poly_gcd(num, den)
-                if g.degree > 0:
-                    num, den = num // g, den // g
+            num, den = _cancel(num, den)
             monic = den.monic()
             if monic.content != den.content:
                 num, den = num * (monic.content / den.content), monic
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _reduced(cls, num: Polynomial, den: Polynomial) -> RationalFunction:
+        """Wrap num/den, already coprime with den monic, skipping every check."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "num", num)
+        object.__setattr__(out, "den", den)
+        return out
 
     @property
     def is_zero(self) -> bool:
@@ -409,10 +435,25 @@ class RationalFunction:
         return self.num
 
     def __add__(self, other: RationalFunction | Polynomial | Scalar) -> RationalFunction:
+        """a/b + c/d with d1 = gcd(b, d): only gcd(a*(d/d1) + c*(b/d1), d1) can cancel."""
         other = _as_ratfn(other)
         if other is NotImplemented:
             return NotImplemented
-        return RationalFunction(self.num * other.den + other.num * self.den, self.den * other.den)
+        (a, b), (c, d) = (self.num, self.den), (other.num, other.den)
+        if not a.ints:
+            return other
+        if not c.ints:
+            return self
+        d1 = ONE
+        if b.degree > 0 and d.degree > 0:
+            d1 = b if b == d else poly_gcd(b, d)
+            if d1.degree > 0:
+                b, d = b // d1, d // d1
+        t = a * d + c * b
+        if not t.ints:
+            return _ZERO_RF
+        t, d1 = _cancel(t, d1)
+        return RationalFunction._reduced(t, b * d1 * d)
 
     __radd__ = __add__
 
@@ -426,13 +467,22 @@ class RationalFunction:
         return -(self - other)
 
     def __neg__(self) -> RationalFunction:
-        return RationalFunction(-self.num, self.den)
+        return RationalFunction._reduced(-self.num, self.den)
+
+    def _times(self, c: Polynomial, d: Polynomial) -> RationalFunction:
+        """self * c/d for c, d coprime and d monic: only gcd(num, d) and gcd(c, den) can cancel."""
+        a, b = self.num, self.den
+        if not a.ints or not c.ints:
+            return _ZERO_RF
+        a, d = _cancel(a, d)
+        c, b = _cancel(c, b)
+        return RationalFunction._reduced(a * c, b * d)
 
     def __mul__(self, other: RationalFunction | Polynomial | Scalar) -> RationalFunction:
         other = _as_ratfn(other)
         if other is NotImplemented:
             return NotImplemented
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        return self._times(other.num, other.den)
 
     __rmul__ = __mul__
 
@@ -442,16 +492,19 @@ class RationalFunction:
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
+        scale = 1 / other.num.leading
+        return self._times(other.den * scale, other.num * scale)
 
     def __rtruediv__(self, other: RationalFunction | Polynomial | Scalar) -> RationalFunction:
         return _as_ratfn(other) / self
 
     def diff(self) -> RationalFunction:
-        return RationalFunction(
-            self.num.diff() * self.den - self.num * self.den.diff(),
-            self.den * self.den,
-        )
+        """(a/b)' = (a'*(b/g) - a*(b'/g)) / (b*(b/g)) for g = gcd(b, b'), reduced in characteristic 0."""
+        a, b = self.num, self.den
+        if b.degree <= 0:
+            return RationalFunction._reduced(a.diff(), ONE)
+        b1, db = _cancel(b, b.diff())
+        return RationalFunction._reduced(a.diff() * b1 - a * db, b * b1)
 
     def __call__(self, point: Scalar) -> Fraction:
         d = self.den(point)
@@ -471,13 +524,14 @@ class RationalFunction:
         return self.to_text()
 
 
+_ZERO_RF = RationalFunction._reduced(ZERO, ONE)
+
+
 def _as_ratfn(value: RationalFunction | Polynomial | Scalar) -> RationalFunction:
     if isinstance(value, RationalFunction):
         return value
-    if isinstance(value, Polynomial):
-        return RationalFunction(value, ONE)
-    if isinstance(value, (int, Fraction)):
-        return RationalFunction(Polynomial.constant(value), ONE)
+    if isinstance(value, (Polynomial, int, Fraction)):
+        return RationalFunction._reduced(_as_poly(value), ONE)
     return NotImplemented
 
 
