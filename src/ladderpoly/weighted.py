@@ -12,7 +12,9 @@ Canonical form:
     it merges each root's exponents, splits each sum with divmod(e, 1) and
     multiplies all integer parts into one numerator and one denominator, so
     it builds at most one RationalFunction.  Integer parts totalling more
-    than algebra.MAX_EXPONENT raise ValueError before anything is built;
+    than algebra.MAX_EXPONENT raise ValueError before anything is built.
+    Sums, negations and derivatives keep their operand's weight, which is
+    canonical already, and skip the fold;
   * the constant term of the exponential argument is dropped (a factor
     exp(const) is not rational, and every comparison downstream is made up to
     a nonzero scalar anyway);
@@ -82,10 +84,12 @@ class WeightedExpression:
         if total > MAX_EXPONENT:
             raise ValueError(f"weight of integer degree {total} exceeds the limit {MAX_EXPONENT}")
         if total:
-            num = math.prod((linear(root) ** whole for root, whole, _ in splits if whole > 0), start=coeff.num)
-            den = math.prod((linear(root) ** -whole for root, whole, _ in splits if whole < 0), start=coeff.den)
-            coeff = RationalFunction(num, den)
-        if arg.coefficient(0) != 0:
+            # The integer parts form a coprime pair of monic products, so only
+            # the product rule's two gcds with the coefficient can cancel.
+            num = math.prod((linear(root) ** whole for root, whole, _ in splits if whole > 0), start=ONE)
+            den = math.prod((linear(root) ** -whole for root, whole, _ in splits if whole < 0), start=ONE)
+            coeff = coeff._times(num, den)
+        if arg.ints and arg.ints[0]:
             arg = arg - arg.coefficient(0)
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "powers", tuple(PowerFactor(root, frac) for root, _, frac in splits if frac))
@@ -128,6 +132,16 @@ class WeightedExpression:
         """The (powers, exp_arg) pair two members must share to be addable."""
         return (self.powers, self.exp_arg)
 
+    def _in_cell(self, coeff: RationalFunction) -> WeightedExpression:
+        """coeff times this member's weight, which is canonical already: nothing to fold."""
+        if coeff.is_zero:
+            return WeightedExpression.zero()
+        out = object.__new__(WeightedExpression)
+        object.__setattr__(out, "coeff", coeff)
+        object.__setattr__(out, "powers", self.powers)
+        object.__setattr__(out, "exp_arg", self.exp_arg)
+        return out
+
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: Coercible) -> WeightedExpression:
@@ -143,7 +157,7 @@ class WeightedExpression:
                 "cannot add weighted expressions with different weight structure: "
                 f"{self} vs {other}"
             )
-        return WeightedExpression(self.coeff + other.coeff, self.powers, self.exp_arg)
+        return self._in_cell(self.coeff + other.coeff)
 
     __radd__ = __add__
 
@@ -157,7 +171,7 @@ class WeightedExpression:
         return -(self - other)
 
     def __neg__(self) -> WeightedExpression:
-        return WeightedExpression(-self.coeff, self.powers, self.exp_arg)
+        return self._in_cell(-self.coeff)
 
     def __mul__(self, other: Coercible) -> WeightedExpression:
         other = _coerce(other)
@@ -194,17 +208,23 @@ class WeightedExpression:
     # -- calculus -----------------------------------------------------------
 
     def _weight_log_derivative(self) -> RationalFunction:
-        total = as_rational_function(self.exp_arg.diff())
-        for pf in self.powers:
-            total = total + RationalFunction(Polynomial.constant(pf.exponent), linear(pf.root))
-        return total
+        """p' + sum e/(x - r) over the denominator prod (x - r).
+
+        The roots are distinct and each e is nonzero, so the numerator is
+        nonzero at every root and the pair is already reduced.
+        """
+        factors = [linear(pf.root) for pf in self.powers]
+        common = math.prod(factors, start=ONE)
+        num = self.exp_arg.diff() * common
+        for i, pf in enumerate(self.powers):
+            num = num + math.prod(factors[:i] + factors[i + 1 :], start=ONE) * pf.exponent
+        return RationalFunction._reduced(num, common)
 
     def diff(self) -> WeightedExpression:
         """Exact derivative; the class is closed so the result is canonical."""
         if self.is_zero:
             return self
-        new_coeff = self.coeff.diff() + self.coeff * self._weight_log_derivative()
-        return WeightedExpression(new_coeff, self.powers, self.exp_arg)
+        return self._in_cell(self.coeff.diff() + self.coeff * self._weight_log_derivative())
 
     def log_derivative(self) -> RationalFunction:
         """(d/dx self)/self, always rational for this class."""

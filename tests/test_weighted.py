@@ -80,12 +80,18 @@ class TestNormalization:
         expected = RationalFunction((X + 2) * (X - 1) ** 4 * X**3 * (X - 2), (X - 3) * (X + 1) ** 2)
         built = []
         post_init = algebra.RationalFunction.__post_init__
+        reduced = algebra.RationalFunction._reduced
 
         def counted(self):
             built.append(self)
             post_init(self)
 
+        def counted_reduced(cls, num, den):
+            built.append(reduced(num, den))
+            return built[-1]
+
         monkeypatch.setattr(algebra.RationalFunction, "__post_init__", counted)
+        monkeypatch.setattr(algebra.RationalFunction, "_reduced", classmethod(counted_reduced))
         w = WeightedExpression(coeff, powers)
         assert len(built) == 1
         assert w.coeff == expected
