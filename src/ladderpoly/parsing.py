@@ -186,7 +186,8 @@ def _bits(value: RationalFunction) -> int:
 
 
 def _ratfn_pow(value: RationalFunction, exponent: int) -> RationalFunction:
-    return RationalFunction(value.num**exponent, value.den**exponent)
+    # Powers of a coprime pair stay coprime, and a monic denominator's stay monic.
+    return RationalFunction._reduced(value.num**exponent, value.den**exponent)
 
 
 def parse_expression(source: str) -> Polynomial | RationalFunction:

@@ -35,6 +35,13 @@ class TestGrammar:
     def test_nested_parentheses(self):
         assert parse_expression("((x+1)*(x-1))^2") == Polynomial.of(1, 0, -2, 0, 1)
 
+    def test_power_of_a_quotient_is_canonical(self):
+        parsed = parse_expression("((3*x+3)/(2*x^2-8))^3 * (x-2)^2")
+        expected = RationalFunction(27 * (X + 1) ** 3, 8 * (X + 2) ** 3 * (X - 2))
+        assert (parsed.num, parsed.den) == (expected.num, expected.den)
+        assert parsed.den.leading == 1
+        assert parse_expression("(x/(x-1))^0") == ONE
+
     def test_constant_folding(self):
         assert parse_expression("6/4") == Polynomial.constant(Fraction(3, 2))
 
