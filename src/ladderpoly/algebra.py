@@ -439,11 +439,7 @@ class RationalFunction:
         other = _as_ratfn(other)
         if other is NotImplemented:
             return NotImplemented
-        (a, b), (c, d) = (self.num, self.den), (other.num, other.den)
-        if not a.ints:
-            return other
-        if not c.ints:
-            return self
+        a, b, c, d = self.num, self.den, other.num, other.den
         d1 = ONE
         if b.degree > 0 and d.degree > 0:
             d1 = b if b == d else poly_gcd(b, d)
