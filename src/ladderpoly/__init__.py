@@ -7,7 +7,6 @@ from .algebra import (
     IrreducibleFactorError,
     PartialFractions,
     Polynomial,
-    Rational,
     RationalFunction,
     RepeatedPoleError,
     integrate_rational,
@@ -69,7 +68,6 @@ __all__ = [
     "Polynomial",
     "PowerFactor",
     "RAISING",
-    "Rational",
     "RationalFunction",
     "RepeatedPoleError",
     "WeightedExpression",

@@ -1,14 +1,14 @@
 """Exact univariate polynomial and rational-function arithmetic over the rationals.
 
-Scalars are ``fractions.Fraction`` throughout (exported here as ``Rational``):
-arbitrary precision, always reduced, positive denominator.  A polynomial is
-stored as one rational content times a dense tuple of Python ``int``s indexed
-by degree, as FLINT's ``fmpq_poly`` is.  The ints are primitive (their gcd is
-1), have a positive leading entry and no trailing zeros; the zero polynomial
-is content 0 with no ints.  The pair is canonical, so equality and hashing
-compare it, and ``coeffs`` builds the ``Fraction`` coefficients only when
-asked.  A rational function keeps its denominator monic and coprime to the
-numerator, so equal functions have identical representations.
+Scalars are ``fractions.Fraction`` throughout: arbitrary precision, always
+reduced, positive denominator.  A polynomial is stored as one rational content
+times a dense tuple of Python ``int``s indexed by degree, as FLINT's
+``fmpq_poly`` is.  The ints are primitive (their gcd is 1), have a positive
+leading entry and no trailing zeros; the zero polynomial is content 0 with no
+ints.  The pair is canonical, so equality and hashing compare it, and
+``coeffs`` builds the ``Fraction`` coefficients only when asked.  A rational
+function keeps its denominator monic and coprime to the numerator, so equal
+functions have identical representations.
 
 Arithmetic runs on the ints and touches the content once per result.  A
 product multiplies the contents and convolves the ints, with no gcd: by
@@ -54,8 +54,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
-
-Rational = Fraction
 
 Scalar = Union[int, Fraction]
 
@@ -355,10 +353,8 @@ def linear(root: Scalar) -> Polynomial:
 
 
 def nth_derivative(p: Polynomial, order: int) -> Polynomial:
-    """The order-th derivative of p."""
-    for _ in range(order):
-        p = p.diff()
-    return p
+    """The order-th derivative of p, in one pass: c_k x^k contributes k!/(k-order)! c_k x^(k-order)."""
+    return Polynomial._make(p.content, [math.perm(k, order) * c for k, c in enumerate(p.ints)][order:])
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -419,15 +415,6 @@ class RationalFunction:
     @property
     def is_polynomial(self) -> bool:
         return self.den == ONE
-
-    @property
-    def is_constant(self) -> bool:
-        return self.den == ONE and self.num.degree <= 0
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant:
-            raise ValueError(f"not a constant rational function: {self}")
-        return self.num.coefficient(0)
 
     def as_polynomial(self) -> Polynomial:
         if not self.is_polynomial:
@@ -544,13 +531,6 @@ class PartialFractions:
 
     quotient: Polynomial
     terms: tuple[tuple[Fraction, Fraction], ...]  # (root, residue), sorted by root
-
-    def recombined(self) -> RationalFunction:
-        """Reassemble over a common denominator (used to cross-check exactness)."""
-        total = as_rational_function(self.quotient)
-        for root, residue in self.terms:
-            total = total + RationalFunction(Polynomial.constant(residue), linear(root))
-        return total
 
 
 @dataclass(frozen=True)

@@ -119,43 +119,31 @@ def _weighted_json(w: WeightedExpression) -> dict:
     }
 
 
-def _gen_records(args) -> tuple[FamilySpec, list[dict]]:
-    records = []
+def _gen_members(args) -> tuple[FamilySpec, list[tuple[int, WeightedExpression]]]:
     spec = _family_spec(args, args.n_max)  # rejects a missing m and any m outside 0..n_max
     if spec.kind == "assoc-legendre":
-        for n in range(spec.m, args.n_max + 1):
-            member = generate_assoc_legendre(n, spec.m)
-            weighted = _weighted_json(member)
-            record = {"n": n, "coefficients": weighted.pop("coeff")["num"]}
-            if member.powers:  # (x^2-1)^(m/2) for odd m; P_n^m has no exponential factor
-                record["weight"] = weighted
-            records.append(record)
-        return spec, records
-    for n in range(args.n_max + 1):
-        records.append({"n": n, "coefficients": _coeff_strings(generate_ladder(spec.with_n(n)))})
-    return spec, records
+        return spec, [(n, generate_assoc_legendre(n, spec.m)) for n in range(spec.m, args.n_max + 1)]
+    return spec, [(n, as_weighted(generate_ladder(spec.with_n(n)))) for n in range(args.n_max + 1)]
 
 
-def _render_gen(args, spec: FamilySpec, records: list[dict]) -> str:
+def _render_gen(args, spec: FamilySpec, members: list[tuple[int, WeightedExpression]]) -> str:
     if args.format == "json":
-        return json.dumps(
-            {"family": spec.kind, "params": spec.params(), "records": records}, indent=2
-        )
-    if any("weight" in r for r in records):
+        records = []
+        for n, member in members:
+            weight = _weighted_json(member)
+            records.append({"n": n, "coefficients": weight.pop("coeff")["num"]})
+            if member.powers:  # (x^2-1)^(m/2) for odd m; P_n^m has no exponential factor
+                records[-1]["weight"] = weight
+        return json.dumps({"family": spec.kind, "params": spec.params(), "records": records}, indent=2)
+    if any(member.powers for _, member in members):
         raise ValueError(f"{args.format} output cannot carry the weight of these {spec.kind} members; use --format json")
     if args.format == "csv":
-        lines = [",".join([str(r["n"])] + r["coefficients"]) for r in records]
-        return "\n".join(lines)
-    lines = []
-    for r in records:
-        poly = Polynomial(tuple(Fraction(c) for c in r["coefficients"]))
-        lines.append(f"{spec.symbol % r['n']}({spec.var}) = {poly.to_latex(spec.var)}")
-    return "\n".join(lines)
+        return "\n".join(",".join([str(n)] + _coeff_strings(member.coeff.num)) for n, member in members)
+    return "\n".join(f"{spec.symbol % n}({spec.var}) = {member.coeff.num.to_latex(spec.var)}" for n, member in members)
 
 
 def cmd_gen(args) -> int:
-    spec, records = _gen_records(args)
-    text = _render_gen(args, spec, records)
+    text = _render_gen(args, *_gen_members(args))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")

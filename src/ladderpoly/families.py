@@ -62,17 +62,6 @@ def rpow(exponent: Fraction | int) -> WeightedExpression:
     return _split_power(X, (0,), exponent)
 
 
-def odd_double_factorial(k: int) -> int:
-    """k!! for odd k >= -1, with (-1)!! = 1."""
-    if k < -1 or k % 2 == 0:
-        raise ValueError(f"expected an odd integer >= -1, got {k}")
-    out = 1
-    while k > 1:
-        out *= k
-        k -= 2
-    return out
-
-
 def pochhammer(z: Fraction | int, k: int) -> Fraction:
     """Rising factorial z (z+1) ... (z+k-1)."""
     if k < 0:
@@ -379,7 +368,7 @@ _CHAINS = {
         qpow(Fraction(1, 2)),
         [DIFF] * n,
         qpow(Fraction(2 * n - 1, 2)),
-        Fraction(1, odd_double_factorial(2 * n - 1)),
+        1 / (2**n * pochhammer(Fraction(1, 2), n)),
     )),
     ("gegenbauer", "standard"): (0, lambda n, s: (
         qpow(Fraction(1, 2) - s.lam),
@@ -416,7 +405,7 @@ _CHAINS = {
         qpow(Fraction(3 - n, 2)),
         [DIFF, qpow(Fraction(n, 2))] + [DIFF] * (n - 1),
         qpow(Fraction(2 * n - 3, 2)),
-        Fraction(1, odd_double_factorial(2 * n - 3) * (n - 1)),
+        1 / (2 ** (n - 1) * pochhammer(Fraction(1, 2), n - 1) * (n - 1)),
     )),
     ("gegenbauer", "one-step-split"): (1, lambda n, s: (
         qpow(Fraction(3 - n, 2) - s.lam),
@@ -463,5 +452,9 @@ def _rodrigues(spec: FamilySpec, variant: str) -> Polynomial:
     least, row = _CHAINS[row_spec.kind, variant]
     if spec.n < least:
         raise ValueError(f"the {variant} form of {spec.kind} needs n >= {least}")
-    left, steps, operand, scale = row(spec.n, row_spec)
+    try:
+        left, steps, operand, scale = row(spec.n, row_spec)
+    except ZeroDivisionError:  # a scale's Pochhammer denominator vanishes, e.g. gegenbauer at lambda = -1, n = 2
+        params = ", ".join(f"{name} = {value}" for name, value in spec.params().items())
+        raise ValueError(f"the {variant} form of {spec.kind} is undefined at n = {spec.n}, {params}") from None
     return (apply_chain([left, *steps], operand) * scale).as_polynomial()

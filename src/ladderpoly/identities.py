@@ -25,7 +25,7 @@ from .families import (
     oracle_recurrence,
     qpow,
 )
-from .ladder import DIFF, ChainStep, LOWERING, RAISING, apply_chain, factorize
+from .ladder import DIFF, ChainStep, LOWERING, RAISING, apply_chain
 from .weighted import WeightedExpression, exp_integral
 
 DEFAULT_LAMBDAS = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2))
@@ -149,27 +149,6 @@ def check_eq33_eq35(n_max: int) -> IdentityReport:
     return report
 
 
-def resolve_legendre_lowering_offset(n_max: int = 8) -> int:
-    """Which index k = n + offset makes (-D (x^2-1) + k x) P_n = n P_(n-1) exact.
-
-    Tried over offsets 0, 1, 2 for every n up to n_max; exactly one offset may
-    survive.  The catalog relation tests assert the resolved value.
-    """
-    surviving = []
-    for offset in (0, 1, 2):
-        ok = True
-        for n in range(1, n_max + 1):
-            op = make_operator(FamilySpec("legendre", n + offset), LOWERING)
-            if op.apply(_legendre(n)).as_polynomial() != _legendre(n - 1) * n:
-                ok = False
-                break
-        if ok:
-            surviving.append(offset)
-    if len(surviving) != 1:
-        raise AssertionError(f"lowering index not uniquely resolved: offsets {surviving}")
-    return surviving[0]
-
-
 def check_assoc_relations(n_max: int) -> IdentityReport:
     """m-raising/lowering relations and the two constructions of P_n^m."""
     report = IdentityReport("assoc-relations")
@@ -198,7 +177,7 @@ def check_assoc_relations(n_max: int) -> IdentityReport:
 _RELATIONS = {
     "legendre-relations": [("n", 1, [FamilySpec("legendre", 0)], (
         ("raising", RAISING, 0, -1, 0, lambda s: s.n),
-        ("lowering", LOWERING, 2, 0, -1, lambda s: s.n),  # the offset resolve_legendre_lowering_offset finds
+        ("lowering", LOWERING, 2, 0, -1, lambda s: s.n),
     ))],
     "gegenbauer-updown": [("n", 1, [FamilySpec("gegenbauer", 0, lam=lam) for lam in DEFAULT_LAMBDAS], (
         ("lowering", LOWERING, 0, 0, -1, lambda s: s.n + 2 * s.lam - 1),
@@ -284,17 +263,6 @@ def remainder_term(n: int, h: Polynomial) -> WeightedExpression:
     chain = apply_chain(steps, qpow(Fraction(1, 2)) / drift_factor)
     target = WeightedExpression.from_polynomial(_legendre(n) * math.factorial(n))
     return target - chain
-
-
-def legendre_operator_relation_holds(n: int, drift) -> bool:
-    """2^(n-1) n! P_n = R_n applied to 2^(n-1) (n-1)! P_(n-1), through the
-    drift factorization; exact for every in-class drift."""
-    op = make_operator(FamilySpec("legendre", n), RAISING)
-    fac = factorize(op, drift)
-    operand = WeightedExpression.from_polynomial(_legendre(n - 1) * (2 ** (n - 1) * math.factorial(n - 1)))
-    result = fac.apply(operand)
-    expected = _legendre(n) * (2 ** (n - 1) * math.factorial(n))
-    return result.as_polynomial() == expected
 
 
 def remainder_expansion(n: int, h: Polynomial) -> list[Polynomial]:

@@ -74,15 +74,10 @@ class LadderOperator:
             return self.a * u.diff() + self.b * u
         return -(self.a * u).diff() + self.b * u
 
-    def describe(self) -> str:
-        a, b = self.a.to_text(self.var), self.b.to_text(self.var)
-        if self.form == RAISING:
-            return f"({a})*D + {b}"
-        return f"-D*({a}) + {b}"
-
     def __str__(self) -> str:
-        prefix = f"{self.name} = " if self.name else ""
-        return prefix + self.describe()
+        a, b = self.a.to_text(self.var), self.b.to_text(self.var)
+        body = f"({a})*D + {b}" if self.form == RAISING else f"-D*({a}) + {b}"
+        return (f"{self.name} = " if self.name else "") + body
 
 
 @dataclass(frozen=True)

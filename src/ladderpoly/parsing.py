@@ -193,7 +193,6 @@ def _ratfn_pow(value: RationalFunction, exponent: int) -> RationalFunction:
 def parse_expression(source: str) -> Polynomial | RationalFunction:
     """Parse exact input; returns a Polynomial when the denominator is one."""
     value = _Parser(source).parse()
-    value = as_rational_function(value)
     if value.is_polynomial:
         return value.num
     return value

@@ -265,9 +265,7 @@ class WeightedExpression:
         if self.weight_cell() != other.weight_cell():
             return None
         ratio = self.coeff / other.coeff
-        if ratio.is_constant:
-            return ratio.constant_value()
-        return None
+        return ratio.num.coefficient(0) if ratio.is_polynomial and ratio.num.degree == 0 else None
 
     def to_text(self, var: str = "x") -> str:
         if self.is_zero:

@@ -30,7 +30,6 @@ from ladderpoly.identities import (
     check_eq34,
     check_remark_three_term,
     check_remark_three_term_legendre,
-    legendre_operator_relation_holds,
     remainder_structure_report,
     remainder_term,
 )
@@ -44,6 +43,8 @@ from ladderpoly.verify import (
 )
 from ladderpoly.weighted import WeightedExpression, exp_integral
 from ladderpoly.algebra import integrate_rational
+
+from helpers import legendre_operator_relation_holds
 
 
 def _report(number: int, name: str, ok: bool, detail: str = "") -> None:

@@ -15,10 +15,13 @@ from ladderpoly.algebra import (  # noqa: E402
     Polynomial,
     RationalFunction,
     linear,
+    nth_derivative,
     partial_fractions,
     poly_gcd,
     rational_roots,
 )
+
+from helpers import recombined  # noqa: E402
 
 scalars = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
 polys = st.lists(scalars, max_size=9).map(lambda cs: Polynomial(tuple(cs)))
@@ -101,7 +104,7 @@ def test_partial_fractions_round_trip(quotient, poles):
     parts = partial_fractions(r)
     assert parts.quotient == quotient
     assert parts.terms == tuple(sorted(poles.items()))
-    assert parts.recombined() == r
+    assert recombined(parts) == r
 
 
 def factored_polys(max_numerator: int):
@@ -271,6 +274,19 @@ def test_wide_calculus_and_monic(a):
     monic = a.monic()
     assert monic.coeffs == tuple(c / a.coeffs[-1] for c in a.coeffs)
     assert_canonical(monic)
+
+
+@bounded
+@given(wide_polys, st.integers(0, 9))
+def test_nth_derivative_matches_iterated_diff(a, order):
+    # orders 0..9 against degrees up to 6: order 0 and orders above the degree both occur
+    expected = a
+    for _ in range(order):
+        expected = expected.diff()
+    got = nth_derivative(a, order)
+    assert got == expected
+    assert_canonical(got)
+    assert got.is_zero == (order > a.degree)
 
 
 @bounded

@@ -19,9 +19,10 @@ from ladderpoly.families import (
     rodrigues_chain,
     rodrigues_standard,
 )
-from ladderpoly.identities import resolve_legendre_lowering_offset
 from ladderpoly.ladder import LOWERING, RAISING
 from ladderpoly.weighted import WeightedExpression
+
+from helpers import resolve_legendre_lowering_offset
 
 HALF = Fraction(1, 2)
 
@@ -199,6 +200,18 @@ class TestRodriguesStandard:
             assert rodrigues_chain(spec("legendre", n), variant) == oracle_recurrence(spec("legendre", n))
         radial = spec("laguerre-radial", n, alpha=HALF)
         assert rodrigues_chain(radial, "h0-chain") == oracle_recurrence(radial)
+
+    @pytest.mark.parametrize(
+        "n,lam,variant",
+        [(2, -1, "standard"), (1, Fraction(-1, 2), "standard"), (3, -1, "one-step-split")],
+    )
+    def test_undefined_gegenbauer_scale_at_negative_lambda(self, n, lam, variant):
+        # the scale divides by a vanishing Pochhammer symbol, though the member exists
+        s = spec("gegenbauer", n, lam=Fraction(lam))
+        assert generate_ladder(s) == oracle_recurrence(s)
+        message = f"^the {variant} form of gegenbauer is undefined at n = {n}, lambda = {lam}$"
+        with pytest.raises(ValueError, match=message):
+            rodrigues_standard(s) if variant == "standard" else rodrigues_chain(s, variant)
 
     def test_family_without_standard_form(self):
         with pytest.raises(ValueError, match="family 'hermite' has no printed standard form"):

@@ -10,13 +10,14 @@ from ladderpoly.identities import (
     check_eq33_eq35,
     check_eq34,
     identity_check,
-    legendre_operator_relation_holds,
     remainder_expansion,
     remainder_linear_coefficients,
     remainder_structure_report,
     remainder_term,
 )
 from ladderpoly.verify import random_drifts
+
+from helpers import legendre_operator_relation_holds
 
 
 def legendre(n):
