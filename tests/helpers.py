@@ -5,7 +5,8 @@ import math
 from ladderpoly.algebra import PartialFractions, Polynomial, RationalFunction, as_rational_function, linear
 from ladderpoly.families import FamilySpec, make_operator, oracle_recurrence
 from ladderpoly.ladder import LOWERING, RAISING, factorize
-from ladderpoly.weighted import WeightedExpression
+from ladderpoly.verify import random_drifts, representative_operators, standard_testers
+from ladderpoly.weighted import WeightedExpression, as_weighted
 
 
 def _legendre(n: int) -> Polynomial:
@@ -50,3 +51,19 @@ def legendre_operator_relation_holds(n: int, drift) -> bool:
     result = fac.apply(operand)
     expected = _legendre(n) * (2 ** (n - 1) * math.factorial(n))
     return result.as_polynomial() == expected
+
+
+def reference_factorization_instances(split=factorize, num_drifts: int = 25) -> list[tuple[dict, bool, str | None]]:
+    """The factorization suite's (params, ok, discrepancy) list, built the
+    direct way: one op.apply per check, (got - expected).is_zero as the test
+    and the difference's text as the discrepancy."""
+    out = []
+    for kind, op in representative_operators():
+        for index, drift in enumerate(random_drifts(num_drifts)):
+            fac = split(op, drift)
+            for tester in standard_testers():
+                u = as_weighted(tester)
+                difference = fac.apply(u) - op.apply(u)
+                params = {"family": kind, "drift": str(index), "tester": u.to_text(op.var)}
+                out.append((params, difference.is_zero, None if difference.is_zero else difference.to_text(op.var)))
+    return out

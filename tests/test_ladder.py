@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -16,9 +17,12 @@ from ladderpoly.ladder import (
     factorize,
     verify_factorization,
 )
+from ladderpoly import verify
 from ladderpoly.parsing import parse_expression
-from ladderpoly.verify import random_drifts, representative_operators, standard_testers
+from ladderpoly.verify import random_drifts, representative_operators, standard_testers, suite_factorization
 from ladderpoly.weighted import WeightedExpression
+
+from helpers import reference_factorization_instances
 
 X_SQ_MINUS_1 = Polynomial.of(-1, 0, 1)
 
@@ -170,6 +174,38 @@ class TestVerifyFactorization:
             fac = factorize(op, 0)
             for tester in standard_testers():
                 assert (fac.apply(tester) - op.apply(tester)).is_zero, kind
+
+
+class TestFactorizationSuite:
+    """The suite checks every (operator, drift, tester) triple as the direct reference does."""
+
+    @staticmethod
+    def instances():
+        (report,) = suite_factorization()
+        return [(inst.params, inst.ok, inst.discrepancy) for inst in report.instances]
+
+    def test_matches_the_direct_reference(self):
+        expected = reference_factorization_instances()
+        assert len(expected) == 1250 and all(ok for _, ok, _ in expected)
+        assert self.instances() == expected
+
+    @pytest.mark.parametrize(
+        "corrupt,failures",
+        [
+            (lambda fac, op: fac.h * 2, 1200),  # drift 24 is zero, and so is its doubled h
+            (lambda fac, op: fac.h + op.a, 1250),
+        ],
+        ids=["doubled-h", "shifted-h"],
+    )
+    def test_every_drift_is_checked(self, monkeypatch, corrupt, failures):
+        def corrupted(op, drift):
+            fac = factorize(op, drift)
+            return dataclasses.replace(fac, h=corrupt(fac, op))
+
+        monkeypatch.setattr(verify, "factorize", corrupted)
+        expected = reference_factorization_instances(corrupted)
+        assert sum(not ok for _, ok, _ in expected) == failures
+        assert self.instances() == expected
 
 
 class TestApplyChain:
