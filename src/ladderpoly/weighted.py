@@ -14,7 +14,8 @@ Canonical form:
     it builds at most one RationalFunction.  Integer parts totalling more
     than algebra.MAX_EXPONENT raise ValueError before anything is built.
     Sums, negations and derivatives keep their operand's weight, which is
-    canonical already, and skip the fold;
+    canonical already, and skip the fold; so does a product with a
+    weight-free factor (zero included), which keeps the other factor's cell;
   * the constant term of the exponential argument is dropped (a factor
     exp(const) is not rational, and every comparison downstream is made up to
     a nonzero scalar anyway);
@@ -177,8 +178,9 @@ class WeightedExpression:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return WeightedExpression.zero()
+        for kept, plain in ((self, other), (other, self)):
+            if not plain.powers and plain.exp_arg.is_zero:  # zero included
+                return kept._in_cell(self.coeff * other.coeff)
         return WeightedExpression(
             self.coeff * other.coeff,
             self.powers + other.powers,

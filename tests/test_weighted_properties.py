@@ -8,7 +8,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from ladderpoly.algebra import ONE, Polynomial, RationalFunction, linear  # noqa: E402
+from ladderpoly.algebra import ONE, Polynomial, RationalFunction, ZERO, linear  # noqa: E402
 from ladderpoly.weighted import PowerFactor, WeightedExpression  # noqa: E402
 
 bounded = settings(max_examples=60, deadline=None)
@@ -97,13 +97,22 @@ def rebuilt_diff(w: WeightedExpression) -> WeightedExpression:
     return WeightedExpression(RationalFunction(num, c.den * c.den * common), w.powers, w.exp_arg)
 
 
+#: Coefficients of the weight-free operand: zero or a sharing coefficient.
+plain_coefficients = st.one_of(st.just(RationalFunction(ZERO)), sharing_coefficients)
+
+
 @settings(max_examples=150, deadline=None)
-@given(sharing_weighted, sharing_weighted, sharing_coefficients)
-def test_results_match_constructor_rebuilds(w, v, other_coeff):
+@given(sharing_weighted, sharing_weighted, sharing_coefficients, plain_coefficients)
+def test_results_match_constructor_rebuilds(w, v, other_coeff, plain_coeff):
     a, b = w.coeff, v.coeff
     assert fields(w.diff()) == fields(rebuilt_diff(w))
     product = WeightedExpression(RationalFunction(a.num * b.num, a.den * b.den), w.powers + v.powers, w.exp_arg + v.exp_arg)
     assert fields(w * v) == fields(product)
+    plain = WeightedExpression(plain_coeff)  # weight-free, and zero in some examples
+    d = plain.coeff
+    scaled = WeightedExpression(RationalFunction(a.num * d.num, a.den * d.den), w.powers, w.exp_arg)
+    assert fields(w * plain) == fields(scaled)
+    assert fields(plain * w) == fields(scaled)
     u = WeightedExpression(other_coeff, w.powers, w.exp_arg)
     assert u.weight_cell() == w.weight_cell()
     c = u.coeff
@@ -111,3 +120,7 @@ def test_results_match_constructor_rebuilds(w, v, other_coeff):
     assert fields(w + u) == fields(WeightedExpression(total, w.powers, w.exp_arg))
     assert fields(-w) == fields(WeightedExpression(RationalFunction(-a.num, a.den), w.powers, w.exp_arg))
     assert fields(w + -w) == fields(WeightedExpression(RationalFunction(a.num - a.num, a.den), w.powers, w.exp_arg))
+    # canonical equality is exact within a cell: equal forms exactly when the difference is zero
+    for same_cell in (u, (w + u) - u):
+        assert (w == same_cell) == (w - same_cell).is_zero
+    assert (w + u) - u == w
