@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -84,6 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
     fac.add_argument("--m", type=int)
     fac.add_argument("--ell", type=int)
     fac.add_argument("--json", action="store_true")
+    for sub_parser in (gen, fac):  # "--alpha -1/2" passes a value, as "--alpha -1" does, not an unknown option
+        sub_parser._negative_number_matcher = re.compile(r"^-\.?\d")
     return parser
 
 
@@ -96,15 +99,7 @@ def _resolve_kind(name: str) -> str:
 
 
 def _family_spec(args, n: int) -> FamilySpec:
-    kind = _resolve_kind(args.family)
-    return FamilySpec(
-        kind,
-        n,
-        alpha=getattr(args, "alpha", None),
-        lam=getattr(args, "lam", None),
-        m=getattr(args, "m", None),
-        ell=getattr(args, "ell", None),
-    )
+    return FamilySpec(_resolve_kind(args.family), n, alpha=args.alpha, lam=args.lam, m=args.m, ell=args.ell)
 
 
 def _coeff_strings(p: Polynomial) -> list[str]:

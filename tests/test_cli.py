@@ -13,6 +13,7 @@ from ladderpoly.algebra import Polynomial
 from ladderpoly.cli import main
 from ladderpoly.families import FamilySpec, generate_ladder, oracle_recurrence
 from ladderpoly.ladder import factorize
+from ladderpoly.weighted import WeightedExpression
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -232,6 +233,16 @@ class TestFactorize:
         assert err == ""
         assert out.splitlines()[-1] == "verification: 0/5 testers exact; first failure on 1"
 
+    def test_weight_mismatch_exits_one(self, capsys, monkeypatch):
+        def extra_weight(op, drift):
+            fac = factorize(op, drift)
+            return dataclasses.replace(fac, f1=fac.f1 * WeightedExpression.power(5, Fraction(1, 3)))
+
+        monkeypatch.setattr(cli, "factorize", extra_weight)
+        code, out, err = run(capsys, "factorize", "--family", "legendre", "--n", "3")
+        assert (code, err) == (1, "")
+        assert out.splitlines()[-1] == "verification: 0/5 testers exact; first failure on 1"
+
     @pytest.mark.parametrize(
         "argv,degree",
         [
@@ -314,3 +325,28 @@ def test_exhausted_resources_are_usage_errors(capsys, monkeypatch, error, messag
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv,option,value",
+    [
+        (("gen", "--family", "laguerre", "--n-max", "2"), "--alpha", "-1/2"),
+        (("gen", "--family", "gegenbauer", "--n-max", "2"), "--lambda", "-1/3"),
+        (("factorize", "--family", "laguerre", "--n", "2"), "--alpha", "-1/2"),
+        (("factorize", "--family", "gegenbauer", "--n", "2"), "--lambda", "-1/3"),
+    ],
+    ids=["gen-alpha", "gen-lambda", "factorize-alpha", "factorize-lambda"],
+)
+def test_negative_rational_as_separate_argument(capsys, argv, option, value):
+    separate = run(capsys, *argv, option, value)
+    assert separate == run(capsys, *argv, f"{option}={value}")
+    assert (separate[0], separate[2]) == (0, "")
+
+
+@pytest.mark.parametrize("value", ["-1", "-3/2"])
+@pytest.mark.parametrize("command", [("gen", "--n-max", "2"), ("factorize", "--n", "2")], ids=["gen", "factorize"])
+def test_negative_alpha_out_of_range_keeps_its_message(capsys, command, value):
+    argv = (command[0], "--family", "laguerre", *command[1:])
+    expected = (2, "", "error: laguerre requires a rational alpha > -1\n")
+    assert run(capsys, *argv, "--alpha", value) == expected
+    assert run(capsys, *argv, f"--alpha={value}") == expected
