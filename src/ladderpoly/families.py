@@ -294,7 +294,7 @@ def generate_ladder(spec: FamilySpec) -> Polynomial:
         return seeds[n]
     for k in range(n % _FILL_STRIDE, n, _FILL_STRIDE):
         generate_ladder(spec.with_n(k))
-    below = WeightedExpression.from_polynomial(generate_ladder(spec.with_n(n - 1)))
+    below = as_weighted(generate_ladder(spec.with_n(n - 1)))
     raising = make_operator(spec.with_n(n + offset), RAISING)
     if ground is None:
         raised = raising.apply(below)
@@ -331,7 +331,7 @@ def assoc_legendre_iterated(n: int, m: int) -> WeightedExpression:
     """P_n^m by applying the m-raising operators R_0, ..., R_(m-1) to P_n."""
     if not 0 <= m <= n:
         raise ValueError("need 0 <= m <= n")
-    acc = WeightedExpression.from_polynomial(oracle_recurrence(FamilySpec("legendre", n)))
+    acc = as_weighted(oracle_recurrence(FamilySpec("legendre", n)))
     for j in range(m):
         acc = make_operator(FamilySpec("assoc-legendre", n, m=j), RAISING).apply(acc)
     return acc

@@ -25,17 +25,10 @@ from .families import (
     oracle_recurrence,
     qpow,
 )
-from .ladder import DIFF, ChainStep, LOWERING, RAISING, apply_chain
-from .weighted import WeightedExpression, exp_integral
+from .ladder import DIFF, ChainStep, InstanceResult, LOWERING, RAISING, apply_chain
+from .weighted import WeightedExpression, as_weighted, exp_integral
 
 DEFAULT_LAMBDAS = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2))
-
-
-@dataclass
-class InstanceResult:
-    params: dict[str, str]
-    ok: bool
-    discrepancy: str | None = None
 
 
 @dataclass
@@ -162,7 +155,7 @@ def check_assoc_relations(n_max: int) -> IdentityReport:
             )
             spec = FamilySpec("assoc-legendre", n, m=m)
             raised = make_operator(spec, RAISING).apply(forms[m])
-            target = forms[m + 1] if m + 1 <= n else WeightedExpression.zero()
+            target = forms[m + 1] if m + 1 <= n else as_weighted(0)
             report.add({"n": str(n), "m": str(m), "relation": "raising"}, raised - target)
             lowered = make_operator(spec, LOWERING).apply(target)
             expected = forms[m] * Fraction((n - m) * (n + m + 1))
@@ -255,13 +248,13 @@ def remainder_term(n: int, h: Polynomial) -> WeightedExpression:
         raise ValueError("the remainder term needs n >= 2")
     h = h if isinstance(h, Polynomial) else Polynomial.constant(h)
     if h.is_zero:
-        drift_factor = WeightedExpression.one()
+        drift_factor = as_weighted(1)
     else:
         drift_factor = exp_integral(integrate_rational(RationalFunction(h, X_SQ_MINUS_1)))
     left = qpow(Fraction(2 - n, 2)) * drift_factor
     steps: list[ChainStep] = [left, DIFF] + [qpow(Fraction(3, 2)), DIFF] * (n - 1)
     chain = apply_chain(steps, qpow(Fraction(1, 2)) / drift_factor)
-    target = WeightedExpression.from_polynomial(_legendre(n) * math.factorial(n))
+    target = as_weighted(_legendre(n) * math.factorial(n))
     return target - chain
 
 
@@ -279,8 +272,8 @@ def remainder_expansion(n: int, h: Polynomial) -> list[Polynomial]:
     """
     if n < 2:
         raise ValueError("the remainder term needs n >= 2")
-    t = WeightedExpression.from_rational(RationalFunction(h, X_SQ_MINUS_1))
-    zero = WeightedExpression.zero()
+    t = as_weighted(RationalFunction(h, X_SQ_MINUS_1))
+    zero = as_weighted(0)
     coeffs = [qpow(Fraction(1, 2))]
     for weight in [qpow(Fraction(3, 2))] * (n - 1) + [qpow(Fraction(2 - n, 2))]:
         lowered = [c.diff() for c in coeffs] + [zero]

@@ -133,34 +133,36 @@ def factorize(
             g2 = op.a / f1
     except DecompositionError as exc:
         raise OutOfClassError(f"drift outside the integrable class: {exc}") from exc
-    h = op.a * WeightedExpression.from_rational(t)
+    h = op.a * as_weighted(t)
     return Factorization(f1, g2, h, t, op.form)
 
 
 @dataclass
-class FactorizationCheck:
-    tester: str
+class InstanceResult:
+    """One exact check: its parameters, its outcome and, on failure, the discrepancy."""
+
+    params: dict[str, str]
     ok: bool
     discrepancy: str | None = None
 
 
 @dataclass
 class FactorizationReport:
-    checks: list[FactorizationCheck] = field(default_factory=list)
+    checks: list[InstanceResult] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
 
     @property
-    def first_failure(self) -> FactorizationCheck | None:
+    def first_failure(self) -> InstanceResult | None:
         return next((c for c in self.checks if not c.ok), None)
 
     def summary(self) -> str:
         passed = sum(c.ok for c in self.checks)
         text = f"{passed}/{len(self.checks)} testers exact"
         if not self.ok:
-            text += f"; first failure on {self.first_failure.tester}"
+            text += f"; first failure on {self.first_failure.params['tester']}"
         return text
 
 
@@ -179,7 +181,7 @@ def check_factorization(fac: Factorization, images: Iterable[tuple], var: str) -
             text = None if ok else (got - expected).to_text(var)
         except ValueError:  # different weight cells: no difference to print, so name both sides
             text = f"weight structure differs: {got.to_text(var)} vs {expected.to_text(var)}"
-        report.checks.append(FactorizationCheck(label, ok, text))
+        report.checks.append(InstanceResult({"tester": label}, ok, text))
     return report
 
 

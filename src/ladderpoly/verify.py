@@ -24,7 +24,7 @@ from .families import (
 # check_eq31 stays importable from here: perfbench's tracing test patches and restores it.
 from .identities import DEFAULT_LAMBDAS, IdentityReport, check_eq31, identity_check  # noqa: F401
 from .ladder import RAISING, LadderOperator, check_factorization, factorize, operator_images
-from .weighted import WeightedExpression
+from .weighted import WeightedExpression, as_weighted
 
 DEFAULT_ALPHAS = (Fraction(0), Fraction(-1, 2), Fraction(1, 2), Fraction(1))
 
@@ -101,10 +101,10 @@ def representative_operators() -> list[tuple[str, LadderOperator]]:
 
 def standard_testers() -> list[WeightedExpression]:
     return [
-        WeightedExpression.one(),
-        WeightedExpression.from_polynomial(X),
-        WeightedExpression.from_polynomial(X * X),
-        WeightedExpression.from_polynomial(X_SQ_MINUS_1 ** 3),
+        as_weighted(1),
+        as_weighted(X),
+        as_weighted(X * X),
+        as_weighted(X_SQ_MINUS_1 ** 3),
         WeightedExpression.exp_of(-X),
     ]
 
@@ -123,16 +123,15 @@ def random_drifts(count: int, seed: int = DRIFT_SEED) -> list[Polynomial]:
     return drifts
 
 
-def suite_factorization(num_drifts: int = 25, seed: int = DRIFT_SEED) -> list[IdentityReport]:
-    """Factorization round trip for every representative operator and drift."""
+def suite_factorization() -> list[IdentityReport]:
+    """Factorization round trip for every representative operator and each of the 25 seeded drifts."""
     report = IdentityReport("factorization-round-trip")
+    drifts = random_drifts(25)
     for kind, op in representative_operators():
         images = operator_images(op, standard_testers())  # shared by every drift
-        for index, drift in enumerate(random_drifts(num_drifts, seed)):
-            check = check_factorization(factorize(op, drift), images, op.var)
-            for entry in check.checks:
-                params = {"family": kind, "drift": str(index), "tester": entry.tester}
-                report.record(params, entry.ok, entry.discrepancy)
+        for index, drift in enumerate(drifts):
+            for entry in check_factorization(factorize(op, drift), images, op.var).checks:
+                report.record({"family": kind, "drift": str(index), **entry.params}, entry.ok, entry.discrepancy)
     return [report]
 
 

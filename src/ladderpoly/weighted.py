@@ -99,22 +99,6 @@ class WeightedExpression:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> WeightedExpression:
-        return cls(RationalFunction(ZERO))
-
-    @classmethod
-    def one(cls) -> WeightedExpression:
-        return cls(RationalFunction(ONE))
-
-    @classmethod
-    def from_polynomial(cls, p: Polynomial) -> WeightedExpression:
-        return cls(RationalFunction(p))
-
-    @classmethod
-    def from_rational(cls, r: RationalFunction | Polynomial | Scalar) -> WeightedExpression:
-        return cls(as_rational_function(r))
-
-    @classmethod
     def power(cls, root: Scalar, exponent: Scalar) -> WeightedExpression:
         """(x - root)^exponent for any rational exponent."""
         return cls(RationalFunction(ONE), ((root, exponent),))
@@ -136,7 +120,7 @@ class WeightedExpression:
     def _in_cell(self, coeff: RationalFunction) -> WeightedExpression:
         """coeff times this member's weight, which is canonical already: nothing to fold."""
         if coeff.is_zero:
-            return WeightedExpression.zero()
+            return _ZERO
         out = object.__new__(WeightedExpression)
         object.__setattr__(out, "coeff", coeff)
         object.__setattr__(out, "powers", self.powers)
@@ -196,7 +180,7 @@ class WeightedExpression:
         if other.is_zero:
             raise ZeroDivisionError("division by the zero weighted expression")
         if self.is_zero:
-            return WeightedExpression.zero()
+            return _ZERO
         inverted = tuple((root, -exponent) for root, exponent in other.powers)
         return WeightedExpression(
             self.coeff / other.coeff,
@@ -287,6 +271,9 @@ class WeightedExpression:
 
     def __str__(self) -> str:
         return self.to_text()
+
+
+_ZERO = WeightedExpression(RationalFunction(ZERO))  # frozen, so one shared instance serves every zero result
 
 
 def _coerce(value: Coercible) -> WeightedExpression:

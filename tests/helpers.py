@@ -6,7 +6,7 @@ from ladderpoly.algebra import PartialFractions, Polynomial, RationalFunction, a
 from ladderpoly.families import FamilySpec, make_operator, oracle_recurrence
 from ladderpoly.ladder import LOWERING, RAISING, factorize
 from ladderpoly.verify import random_drifts, representative_operators, standard_testers
-from ladderpoly.weighted import WeightedExpression, as_weighted
+from ladderpoly.weighted import as_weighted
 
 
 def _legendre(n: int) -> Polynomial:
@@ -47,7 +47,7 @@ def legendre_operator_relation_holds(n: int, drift) -> bool:
     drift factorization; exact for every in-class drift."""
     op = make_operator(FamilySpec("legendre", n), RAISING)
     fac = factorize(op, drift)
-    operand = WeightedExpression.from_polynomial(_legendre(n - 1) * (2 ** (n - 1) * math.factorial(n - 1)))
+    operand = as_weighted(_legendre(n - 1) * (2 ** (n - 1) * math.factorial(n - 1)))
     result = fac.apply(operand)
     expected = _legendre(n) * (2 ** (n - 1) * math.factorial(n))
     return result.as_polynomial() == expected

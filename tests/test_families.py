@@ -20,7 +20,7 @@ from ladderpoly.families import (
     rodrigues_standard,
 )
 from ladderpoly.ladder import LOWERING, RAISING
-from ladderpoly.weighted import WeightedExpression
+from ladderpoly.weighted import as_weighted
 
 from helpers import resolve_legendre_lowering_offset
 
@@ -83,7 +83,7 @@ class TestMakeOperator:
 
     def test_coulomb_radial(self):
         op = make_operator(spec("coulomb-radial", 0, ell=0), RAISING)
-        assert op.a == WeightedExpression.one()
+        assert op.a == as_weighted(1)
         assert op.b.coeff == RationalFunction(ONE, X)
         with pytest.raises(ValueError):
             make_operator(spec("coulomb-radial", 0, ell=0), LOWERING)
@@ -291,7 +291,7 @@ class TestAssocLegendre:
         assert generate_assoc_legendre(1, 1) == qpow(HALF)
 
     def test_n2_m1(self):
-        assert generate_assoc_legendre(2, 1) == WeightedExpression.from_polynomial(X * 3) * qpow(HALF)
+        assert generate_assoc_legendre(2, 1) == as_weighted(X * 3) * qpow(HALF)
 
     def test_m0_is_legendre(self):
         for n in range(6):
@@ -302,7 +302,7 @@ class TestAssocLegendre:
     def test_order_past_the_weight_fold_limit(self, m):
         w = generate_assoc_legendre(m, m)
         top = Fraction(math.factorial(2 * m), 2**m * math.factorial(m))  # the m-th derivative of P_m
-        assert w == qpow(Fraction(m % 2, 2)) * WeightedExpression.from_polynomial(X_SQ_MINUS_1 ** (m // 2) * top)
+        assert w == qpow(Fraction(m % 2, 2)) * as_weighted(X_SQ_MINUS_1 ** (m // 2) * top)
 
     def test_iterated_matches_definitional(self):
         for n in range(1, 8):
@@ -383,8 +383,8 @@ class TestDifferentialEquations:
         for n in range(1, 8):
             for m in range(n + 1):
                 w = generate_assoc_legendre(n, m)
-                term = (WeightedExpression.from_polynomial(X_SQ_MINUS_1) * w.diff()).diff()
-                weight = WeightedExpression.from_rational(
+                term = (as_weighted(X_SQ_MINUS_1) * w.diff()).diff()
+                weight = as_weighted(
                     RationalFunction(Polynomial.constant(-m * m), X_SQ_MINUS_1)
                 )
                 residual = term + weight * w - w * Fraction(n * (n + 1))

@@ -20,7 +20,7 @@ from ladderpoly.ladder import (
 from ladderpoly import verify
 from ladderpoly.parsing import parse_expression
 from ladderpoly.verify import random_drifts, representative_operators, standard_testers, suite_factorization
-from ladderpoly.weighted import WeightedExpression
+from ladderpoly.weighted import WeightedExpression, as_weighted
 
 from helpers import reference_factorization_instances
 
@@ -28,7 +28,7 @@ X_SQ_MINUS_1 = Polynomial.of(-1, 0, 1)
 
 
 def w_poly(p):
-    return WeightedExpression.from_polynomial(p)
+    return as_weighted(p)
 
 
 def legendre(n):
@@ -38,7 +38,7 @@ def legendre(n):
 class TestApplyOperator:
     def test_legendre_raising_on_constant(self):
         r1 = make_operator(FamilySpec("legendre", 1), RAISING)
-        assert r1.apply(WeightedExpression.one()).as_polynomial() == X
+        assert r1.apply(as_weighted(1)).as_polynomial() == X
 
     def test_legendre_raising_r2(self):
         r2 = make_operator(FamilySpec("legendre", 2), RAISING)
@@ -47,7 +47,7 @@ class TestApplyOperator:
 
     def test_laguerre_raising_base_step(self):
         plus = make_operator(FamilySpec("laguerre", 1, alpha=Fraction(1, 2)), RAISING)
-        result = plus.apply(WeightedExpression.one()).as_polynomial()
+        result = plus.apply(as_weighted(1)).as_polynomial()
         assert result == oracle_recurrence(FamilySpec("laguerre", 1, alpha=Fraction(1, 2)))
 
     def test_lowering_form_is_composition(self):
@@ -130,7 +130,7 @@ class TestVerifyFactorization:
     def test_legendre_polynomial_drift(self):
         op = make_operator(FamilySpec("legendre", 3), RAISING)
         fac = factorize(op, Polynomial.of(1, 0, 1))
-        testers = [WeightedExpression.one(), w_poly(X), w_poly(X_SQ_MINUS_1)]
+        testers = [as_weighted(1), w_poly(X), w_poly(X_SQ_MINUS_1)]
         assert verify_factorization(op, fac, testers).ok
 
     def test_corrupted_g2_reported(self):
@@ -158,7 +158,7 @@ class TestVerifyFactorization:
             for drift in random_drifts(5, seed=42):
                 fac = factorize(op, drift)
                 assert fac.f1 * fac.g2 == op.a, kind
-                assert fac.h == op.a * WeightedExpression.from_rational(RationalFunction(drift)), kind
+                assert fac.h == op.a * as_weighted(RationalFunction(drift)), kind
                 assert verify_factorization(op, fac, testers).ok, kind
 
     def test_lowering_operators_round_trip(self):

@@ -17,6 +17,7 @@ from ladderpoly.weighted import (
     NotPolynomialError,
     PowerFactor,
     WeightedExpression,
+    as_weighted,
     exp_integral,
 )
 
@@ -25,7 +26,7 @@ HALF = Fraction(1, 2)
 
 
 def w_poly(p):
-    return WeightedExpression.from_polynomial(p)
+    return as_weighted(p)
 
 
 def sqrt_x2m1():
@@ -154,7 +155,7 @@ class TestMulDiv:
 
     def test_exponential_inverse(self):
         half_sq = X * X * Fraction(1, 2)
-        assert WeightedExpression.exp_of(half_sq) * WeightedExpression.exp_of(-half_sq) == WeightedExpression.one()
+        assert WeightedExpression.exp_of(half_sq) * WeightedExpression.exp_of(-half_sq) == as_weighted(1)
 
     def test_laguerre_weight_shift(self):
         alpha = Fraction(1, 2)
@@ -163,7 +164,7 @@ class TestMulDiv:
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
-            WeightedExpression.one() / WeightedExpression.zero()
+            as_weighted(1) / as_weighted(0)
 
     def test_closure_random(self):
         rng = random.Random(5)
@@ -197,7 +198,7 @@ class TestExpIntegral:
 
     def test_zero_integral(self):
         result = integrate_rational(RationalFunction(ZERO))
-        assert exp_integral(result) == WeightedExpression.one()
+        assert exp_integral(result) == as_weighted(1)
 
     def test_roundtrip_property(self):
         # exp_integral(integrate(t)) has log derivative t for in-class t
@@ -242,7 +243,7 @@ class TestAsPolynomial:
         assert (q * q).as_polynomial() == X - 1
 
     def test_zero(self):
-        assert WeightedExpression.zero().as_polynomial() == ZERO
+        assert as_weighted(0).as_polynomial() == ZERO
 
 
 class TestScalarRatio:
@@ -258,10 +259,10 @@ class TestScalarRatio:
         assert w_poly(X).scalar_ratio(w_poly(X * X)) is None
 
     def test_zero_rules(self):
-        zero = WeightedExpression.zero()
+        zero = as_weighted(0)
         assert zero.scalar_ratio(zero) == 1
-        assert zero.scalar_ratio(WeightedExpression.one()) is None
-        assert WeightedExpression.one().scalar_ratio(zero) is None
+        assert zero.scalar_ratio(as_weighted(1)) is None
+        assert as_weighted(1).scalar_ratio(zero) is None
 
 
 class TestAddition:
@@ -271,4 +272,4 @@ class TestAddition:
 
     def test_incompatible_cells_rejected(self):
         with pytest.raises(ValueError):
-            sqrt_x2m1() + WeightedExpression.one()
+            sqrt_x2m1() + as_weighted(1)
