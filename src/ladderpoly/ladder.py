@@ -29,7 +29,7 @@ from .algebra import (
     as_rational_function,
     integrate_rational,
 )
-from .weighted import Coercible, WeightedExpression, as_weighted, exp_integral
+from .weighted import Coercible, WeightStructureError, WeightedExpression, as_weighted, exp_integral
 
 RAISING = "raising"
 LOWERING = "lowering"
@@ -175,11 +175,15 @@ def check_factorization(fac: Factorization, images: Iterable[tuple], var: str) -
     """Compare fac.apply(u) with each image by canonical equality; a failure carries the difference."""
     report = FactorizationReport()
     for u, label, expected in images:
-        got = fac.apply(u)
+        try:
+            got = fac.apply(u)
+        except WeightStructureError as exc:  # f1*(g2*u)' and h*u lie in different weight cells
+            report.checks.append(InstanceResult({"tester": label}, False, str(exc)))
+            continue
         ok = got == expected
         try:
             text = None if ok else (got - expected).to_text(var)
-        except ValueError:  # different weight cells: no difference to print, so name both sides
+        except WeightStructureError:  # different weight cells: no difference to print, so name both sides
             text = f"weight structure differs: {got.to_text(var)} vs {expected.to_text(var)}"
         report.checks.append(InstanceResult({"tester": label}, ok, text))
     return report

@@ -56,6 +56,10 @@ class NotPolynomialError(ValueError):
     """Raised when extraction demands a polynomial but weights survive."""
 
 
+class WeightStructureError(ValueError):
+    """Raised when two members with different weight cells are added."""
+
+
 class PowerFactor(NamedTuple):
     """A factor (x - root)^exponent; canonical exponents lie strictly in (0, 1)."""
 
@@ -138,7 +142,7 @@ class WeightedExpression:
         if other.is_zero:
             return self
         if self.weight_cell() != other.weight_cell():
-            raise ValueError(
+            raise WeightStructureError(
                 "cannot add weighted expressions with different weight structure: "
                 f"{self} vs {other}"
             )

@@ -243,6 +243,17 @@ class TestFactorize:
         assert (code, err) == (1, "")
         assert out.splitlines()[-1] == "verification: 0/5 testers exact; first failure on 1"
 
+    def test_weight_mismatch_with_a_drift_exits_one(self, capsys, monkeypatch):
+        # with h nonzero the factorized side itself adds members of different weight cells
+        def extra_weight(op, drift):
+            fac = factorize(op, drift)
+            return dataclasses.replace(fac, f1=fac.f1 * WeightedExpression.power(5, Fraction(1, 3)))
+
+        monkeypatch.setattr(cli, "factorize", extra_weight)
+        code, out, err = run(capsys, "factorize", "--family", "legendre", "--n", "3", "--drift", "1")
+        assert (code, err) == (1, "")
+        assert out.splitlines()[-1] == "verification: 0/5 testers exact; first failure on 1"
+
     @pytest.mark.parametrize(
         "argv,degree",
         [

@@ -152,6 +152,17 @@ class TestVerifyFactorization:
             "weight structure differs: (-x^2 + 3*x + 1) * (x - 5)^(1/3) * exp(-x) vs (-x^2 + 3*x + 1) * exp(-x)"
         )
 
+    def test_weight_mismatch_with_a_drift_is_a_failed_tester(self):
+        op = make_operator(FamilySpec("legendre", 3), RAISING)
+        fac = factorize(op, 1)
+        bad = dataclasses.replace(fac, f1=fac.f1 * WeightedExpression.power(5, Fraction(1, 3)))
+        report = verify_factorization(op, bad, standard_testers())
+        assert report.summary() == "0/5 testers exact; first failure on 1"
+        assert report.first_failure.discrepancy == (
+            "cannot add weighted expressions with different weight structure: "
+            "(-x^2 + 3*x + 1) * (x - 5)^(1/3) vs x^2 - 1"
+        )
+
     def test_every_representative_with_random_drifts(self):
         testers = standard_testers()
         for kind, op in representative_operators():

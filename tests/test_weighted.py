@@ -16,6 +16,7 @@ from ladderpoly.algebra import (
 from ladderpoly.weighted import (
     NotPolynomialError,
     PowerFactor,
+    WeightStructureError,
     WeightedExpression,
     as_weighted,
     exp_integral,
@@ -273,3 +274,9 @@ class TestAddition:
     def test_incompatible_cells_rejected(self):
         with pytest.raises(ValueError):
             sqrt_x2m1() + as_weighted(1)
+
+    def test_incompatible_cells_raise_their_own_error(self):
+        # a ValueError subclass, so callers can catch it without the weight-degree bound
+        assert issubclass(WeightStructureError, ValueError)
+        with pytest.raises(WeightStructureError, match="different weight structure"):
+            sqrt_x2m1() - w_poly(X)
