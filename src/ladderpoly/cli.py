@@ -85,8 +85,9 @@ def build_parser() -> argparse.ArgumentParser:
     fac.add_argument("--m", type=int)
     fac.add_argument("--ell", type=int)
     fac.add_argument("--json", action="store_true")
-    for sub_parser in (gen, fac):  # "--alpha -1/2" passes a value, as "--alpha -1" does, not an unknown option
-        sub_parser._negative_number_matcher = re.compile(r"^-\.?\d")
+    # "--alpha -1/2" and "--drift -x" pass a value, as "--alpha -1" does, not an unknown option
+    gen._negative_number_matcher = re.compile(r"^-\.?\d")
+    fac._negative_number_matcher = re.compile(r"^-[^-]")  # any single-dash argument; -h is matched first
     return parser
 
 

@@ -354,6 +354,24 @@ def test_negative_rational_as_separate_argument(capsys, argv, option, value):
     assert (separate[0], separate[2]) == (0, "")
 
 
+@pytest.mark.parametrize("drift", ["-x", "-x+1", "-(x+1)"])
+def test_negative_drift_as_separate_argument(capsys, drift):
+    argv = ("factorize", "--family", "legendre", "--n", "2")
+    separate = run(capsys, *argv, "--drift", drift)
+    assert separate == run(capsys, *argv, f"--drift={drift}")
+    assert (separate[0], separate[2]) == (0, "")
+
+
+def test_factorize_help_and_negative_n_keep_their_meaning(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["factorize", "-h"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ladderpoly factorize")
+    assert run(capsys, "factorize", "--family", "legendre", "--n", "-1") == (
+        2, "", "error: index n must be a nonnegative integer\n"
+    )
+
+
 @pytest.mark.parametrize("value", ["-1", "-3/2"])
 @pytest.mark.parametrize("command", [("gen", "--n-max", "2"), ("factorize", "--n", "2")], ids=["gen", "factorize"])
 def test_negative_alpha_out_of_range_keeps_its_message(capsys, command, value):
