@@ -4,7 +4,8 @@ Members combine a rational-function coefficient, fractional powers of distinct
 linear factors, and an exponential of a polynomial.  The class is closed under
 differentiation, multiplication, and division, which is what lets every
 operator factorization and Rodrigues chain in this package be evaluated
-exactly.
+exactly.  A scalar, polynomial or rational function enters the class through
+``as_weighted``; ``power``, ``exp_of`` and ``exp_integral`` build the weights.
 
 Canonical form:
   * power exponents keep only their fractional part in (0, 1), so two equal
