@@ -177,7 +177,7 @@ def check_factorization(fac: Factorization, images: Iterable[tuple], var: str) -
     for u, label, expected in images:
         try:
             got = fac.apply(u)
-        except WeightStructureError as exc:  # f1*(g2*u)' and h*u lie in different weight cells
+        except WeightStructureError as exc:  # the factorized side itself adds two members of different weight cells
             report.checks.append(InstanceResult({"tester": label}, False, str(exc)))
             continue
         ok = got == expected
