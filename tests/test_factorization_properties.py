@@ -61,7 +61,11 @@ def with_double_pole(t: RationalFunction, c: Fraction, r: Fraction, s: Fraction 
 
 double_poles = st.sampled_from(POLES).flatmap(
     lambda r: st.builds(
-        with_double_pole, in_class_drifts, nonzero_scalars, st.just(r), st.none() | st.sampled_from(POLES).filter(lambda s: s != r)
+        with_double_pole,
+        in_class_drifts,
+        nonzero_scalars,
+        st.just(r),
+        st.none() | st.sampled_from(POLES).filter(lambda s: s != r),
     )
 )
 quadratic_factors = st.builds(
