@@ -3,13 +3,11 @@ orthogonal polynomials, over arbitrary-precision rational arithmetic."""
 
 from .algebra import (
     DecompositionError,
-    IntegrationResult,
     IrreducibleFactorError,
     PartialFractions,
     Polynomial,
     RationalFunction,
     RepeatedPoleError,
-    integrate_rational,
     partial_fractions,
 )
 from .families import (
@@ -57,7 +55,6 @@ __all__ = [
     "Factorization",
     "FamilySpec",
     "IdentityReport",
-    "IntegrationResult",
     "IrreducibleFactorError",
     "LOWERING",
     "LadderOperator",
@@ -78,7 +75,6 @@ __all__ = [
     "generate_ladder",
     "hermite_from_laguerre",
     "identity_check",
-    "integrate_rational",
     "make_operator",
     "oracle_recurrence",
     "parse_expression",

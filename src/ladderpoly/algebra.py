@@ -533,14 +533,6 @@ class PartialFractions:
     terms: tuple[tuple[Fraction, Fraction], ...]  # (root, residue), sorted by root
 
 
-@dataclass(frozen=True)
-class IntegrationResult:
-    """Antiderivative ``poly_part + sum residue*ln(x - root)``, constant fixed to 0."""
-
-    poly_part: Polynomial
-    log_terms: tuple[tuple[Fraction, Fraction], ...]
-
-
 def _primes():
     """2, 3, 5, 7, ... without end, each tested by trial division."""
     n = 2
@@ -646,12 +638,6 @@ def partial_fractions(r: RationalFunction) -> PartialFractions:
     dprime = den.diff()
     terms = tuple((root, remainder(root) / dprime(root)) for root in sorted(roots))
     return PartialFractions(quotient, terms)
-
-
-def integrate_rational(r: RationalFunction) -> IntegrationResult:
-    """Exact antiderivative of an integrable-class rational function."""
-    parts = partial_fractions(r)
-    return IntegrationResult(parts.quotient.integral(), parts.terms)
 
 
 def _fmt_coeff(c: Fraction, latex: bool) -> str:

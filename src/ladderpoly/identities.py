@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Iterable, Sequence
 
-from .algebra import ONE, Polynomial, RationalFunction, X, ZERO, integrate_rational, nth_derivative
+from .algebra import ONE, Polynomial, RationalFunction, X, ZERO, nth_derivative
 from .families import (
     FamilySpec,
     X_SQ_MINUS_1,
@@ -246,11 +246,7 @@ def remainder_term(n: int, h: Polynomial) -> WeightedExpression:
     """
     if n < 2:
         raise ValueError("the remainder term needs n >= 2")
-    h = h if isinstance(h, Polynomial) else Polynomial.constant(h)
-    if h.is_zero:
-        drift_factor = as_weighted(1)
-    else:
-        drift_factor = exp_integral(integrate_rational(RationalFunction(h, X_SQ_MINUS_1)))
+    drift_factor = exp_integral(RationalFunction(h, X_SQ_MINUS_1))
     left = qpow(Fraction(2 - n, 2)) * drift_factor
     steps: list[ChainStep] = [left, DIFF] + [qpow(Fraction(3, 2)), DIFF] * (n - 1)
     chain = apply_chain(steps, qpow(Fraction(1, 2)) / drift_factor)

@@ -8,8 +8,9 @@ An operator is a(x)*D + b(x) in one of two structural shapes:
 Any such operator splits as f1 * D * g2 + h for an arbitrary drift h (lowering
 shape: -g2 * D * f1 + h), with f1 g2 = a.  The drift is supplied reduced, as
 t = h/a, because t is the quantity actually integrated: the factorization
-exists in closed form exactly when t and b/a lie in the integrable class of
-``algebra.integrate_rational``.
+exists in closed form exactly when t and b/a lie in the integrable class, the
+rational functions r for which ``weighted.exp_integral(r)`` exists, that is,
+whose ``algebra.partial_fractions`` has only simple poles at rational roots.
 
 Checks run on testers u: ``operator_images`` applies the operator to each u
 once for all drifts, and ``check_factorization`` compares fac.apply(u) with
@@ -21,14 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
 
-from .algebra import (
-    DecompositionError,
-    Polynomial,
-    RationalFunction,
-    Scalar,
-    as_rational_function,
-    integrate_rational,
-)
+from .algebra import DecompositionError, Polynomial, RationalFunction, Scalar, as_rational_function
 from .weighted import Coercible, WeightStructureError, WeightedExpression, as_weighted, exp_integral
 
 RAISING = "raising"
@@ -126,10 +120,10 @@ def factorize(
     ratio = rational_part(op.b / op.a, "b/a")
     try:
         if op.form == RAISING:
-            g2 = exp_integral(integrate_rational(ratio - t))
+            g2 = exp_integral(ratio - t)
             f1 = op.a / g2
         else:
-            f1 = exp_integral(integrate_rational(op.a.log_derivative() - ratio + t))
+            f1 = exp_integral(op.a.log_derivative() - ratio + t)
             g2 = op.a / f1
     except DecompositionError as exc:
         raise OutOfClassError(f"drift outside the integrable class: {exc}") from exc

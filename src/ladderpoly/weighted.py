@@ -6,6 +6,8 @@ differentiation, multiplication, and division, which is what lets every
 operator factorization and Rodrigues chain in this package be evaluated
 exactly.  A scalar, polynomial or rational function enters the class through
 ``as_weighted``; ``power``, ``exp_of`` and ``exp_integral`` build the weights.
+``exp_integral(r)`` is exp(int r); r lies in the integrable class exactly when
+``algebra.partial_fractions(r)`` has only simple poles at rational roots.
 
 Canonical form:
   * power exponents keep only their fractional part in (0, 1), so two equal
@@ -42,12 +44,12 @@ from .algebra import (
     ONE,
     Polynomial,
     RationalFunction,
-    IntegrationResult,
     Scalar,
     ZERO,
     _coerce_scalar,
     as_rational_function,
     linear,
+    partial_fractions,
 )
 
 Coercible = Union["WeightedExpression", RationalFunction, Polynomial, int, Fraction]
@@ -296,6 +298,7 @@ def as_weighted(value: Coercible) -> WeightedExpression:
     return out
 
 
-def exp_integral(result: IntegrationResult) -> WeightedExpression:
-    """exp(integral): power factors from residues, exponential from the polynomial part."""
-    return WeightedExpression(RationalFunction(ONE), result.log_terms, result.poly_part)
+def exp_integral(r: RationalFunction) -> WeightedExpression:
+    """exp(int r), constant 0: (x - root)^residue per pole; DecompositionError outside the class."""
+    parts = partial_fractions(r)
+    return WeightedExpression(RationalFunction(ONE), parts.terms, parts.quotient.integral())

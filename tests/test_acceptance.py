@@ -42,7 +42,6 @@ from ladderpoly.verify import (
     suite_rodrigues,
 )
 from ladderpoly.weighted import WeightedExpression, as_weighted, exp_integral
-from ladderpoly.algebra import integrate_rational
 
 from helpers import legendre_operator_relation_holds
 
@@ -174,9 +173,7 @@ def test_criterion_06_h0_reduction_matches_printed_pairs():
     general = LadderOperator(
         as_weighted(a), as_weighted(X * X), LOWERING
     )
-    printed_f1 = as_weighted(a) * exp_integral(
-        integrate_rational(RationalFunction(-(X * X), a))
-    )
+    printed_f1 = as_weighted(a) * exp_integral(RationalFunction(-(X * X), a))
     fac = factorize(general, 0)
     cases.append(("general lowering form", fac.f1.scalar_ratio(printed_f1), 1,
                   fac.g2.scalar_ratio(general.a / printed_f1), 1))

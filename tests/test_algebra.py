@@ -12,12 +12,13 @@ from ladderpoly.algebra import (
     RepeatedPoleError,
     X,
     ZERO,
-    integrate_rational,
     linear,
     partial_fractions,
     poly_gcd,
     rational_roots,
 )
+
+from ladderpoly.weighted import WeightedExpression, as_weighted, exp_integral
 
 from helpers import recombined
 
@@ -237,24 +238,24 @@ class TestPartialFractions:
 
 
 class TestIntegrateRational:
+    """exp(int r) read off the partial fractions: residues become powers, the polynomial part an exponential."""
+
     def test_polynomial_part(self):
-        result = integrate_rational(rf(X))
-        assert result.poly_part == Polynomial.of(0, 0, Fraction(1, 2))
-        assert result.log_terms == ()
+        result = exp_integral(rf(X))
+        assert result.exp_arg == Polynomial.of(0, 0, Fraction(1, 2))
+        assert result.powers == ()
+        assert result == WeightedExpression.exp_of(X * X * Fraction(1, 2))
 
     def test_single_pole_at_origin(self):
-        result = integrate_rational(rf(ONE, X))
-        assert result.poly_part == ZERO
-        assert result.log_terms == ((Fraction(0), Fraction(1)),)
+        result = exp_integral(rf(ONE, X))
+        assert result.exp_arg == ZERO
+        assert result == as_weighted(X)
 
     def test_quadratic_drift_integral(self):
         # int (a x^2 + b x + c)/(x^2-1): polynomial part a x, log residues as
         # verified by differentiating the decomposition back
         a, b, c = Fraction(2), Fraction(1), Fraction(3)
         r = rf(Polynomial.of(c, b, a), X_SQ_MINUS_1)
-        result = integrate_rational(r)
-        assert result.poly_part == X * a
-        recombined = RationalFunction(result.poly_part.diff())
-        for root, residue in result.log_terms:
-            recombined = recombined + rf(Polynomial.of(residue), linear(root))
-        assert recombined == r
+        result = exp_integral(r)
+        assert result.exp_arg == X * a
+        assert result.log_derivative() == r
