@@ -171,14 +171,11 @@ def check_factorization(fac: Factorization, images: Iterable[tuple], var: str) -
     for u, label, expected in images:
         try:
             got = fac.apply(u)
-        except WeightStructureError as exc:  # the factorized side itself adds two members of different weight cells
-            report.checks.append(InstanceResult({"tester": label}, False, str(exc)))
-            continue
-        ok = got == expected
-        try:
+            ok = got == expected
             text = None if ok else (got - expected).to_text(var)
-        except WeightStructureError:  # different weight cells: no difference to print, so name both sides
-            text = f"weight structure differs: {got.to_text(var)} vs {expected.to_text(var)}"
+        except WeightStructureError as exc:  # in fac.apply or the difference: nothing to print, so name both
+            ok, (left, right) = False, exc.operands
+            text = f"weight structure differs: {left.to_text(var)} vs {right.to_text(var)}"
         report.checks.append(InstanceResult({"tester": label}, ok, text))
     return report
 

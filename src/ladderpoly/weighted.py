@@ -60,7 +60,11 @@ class NotPolynomialError(ValueError):
 
 
 class WeightStructureError(ValueError):
-    """Raised when two members with different weight cells are added."""
+    """Raised when two members with different weight cells are added or subtracted; ``operands`` holds both."""
+
+    def __init__(self, verb: str, left: WeightedExpression, right: WeightedExpression) -> None:
+        super().__init__(f"cannot {verb} weighted expressions with different weight structure: {left} vs {right}")
+        self.operands = (left, right)
 
 
 class PowerFactor(NamedTuple):
@@ -145,10 +149,7 @@ class WeightedExpression:
         if other.is_zero:
             return self
         if self.weight_cell() != other.weight_cell():
-            raise WeightStructureError(
-                "cannot add weighted expressions with different weight structure: "
-                f"{self} vs {other}"
-            )
+            raise WeightStructureError("add", self, other)
         return self._in_cell(self.coeff + other.coeff)
 
     __radd__ = __add__
@@ -157,10 +158,13 @@ class WeightedExpression:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        try:
+            return self + (-other)
+        except WeightStructureError:
+            raise WeightStructureError("subtract", self, other) from None
 
     def __rsub__(self, other: Coercible) -> WeightedExpression:
-        return -(self - other)
+        return _coerce(other) - self
 
     def __neg__(self) -> WeightedExpression:
         return self._in_cell(-self.coeff)

@@ -254,6 +254,18 @@ class TestFactorize:
         assert (code, err) == (1, "")
         assert out.splitlines()[-1] == "verification: 0/5 testers exact; first failure on 1"
 
+    @pytest.mark.parametrize("drift", ["0", "1"])
+    def test_radial_weight_mismatch_exits_one(self, capsys, monkeypatch, drift):
+        def extra_weight(op, drift):
+            fac = factorize(op, drift)
+            return dataclasses.replace(fac, f1=fac.f1 * WeightedExpression.power(5, Fraction(1, 3)))
+
+        monkeypatch.setattr(cli, "factorize", extra_weight)
+        argv = ("factorize", "--family", "laguerre-radial", "--n", "2", "--alpha", "1/2", "--drift", drift)
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (1, "")
+        assert out.splitlines()[-1] == "verification: 0/5 testers exact; first failure on 1"
+
     @pytest.mark.parametrize(
         "argv,degree",
         [

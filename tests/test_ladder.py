@@ -159,9 +159,24 @@ class TestVerifyFactorization:
         report = verify_factorization(op, bad, standard_testers())
         assert report.summary() == "0/5 testers exact; first failure on 1"
         assert report.first_failure.discrepancy == (
-            "cannot add weighted expressions with different weight structure: "
-            "(-x^2 + 3*x + 1) * (x - 5)^(1/3) vs x^2 - 1"
+            "weight structure differs: (-x^2 + 3*x + 1) * (x - 5)^(1/3) vs x^2 - 1"
         )
+
+    @pytest.mark.parametrize(
+        "drift,discrepancy",
+        [
+            (0, "weight structure differs: (-r^2 + 5/2) * (r - 5)^(1/3) vs -r^2 + 5/2"),
+            (1, "weight structure differs: (-r^2 - 1/2*r + 5/2) * (r - 5)^(1/3) vs 1/2*r"),
+        ],
+        ids=["no-drift", "drift"],
+    )
+    def test_weight_mismatch_is_named_in_the_operator_variable(self, drift, discrepancy):
+        op = make_operator(FamilySpec("laguerre-radial", 2, alpha=Fraction(1, 2)), RAISING)
+        fac = factorize(op, drift)
+        bad = dataclasses.replace(fac, f1=fac.f1 * WeightedExpression.power(5, Fraction(1, 3)))
+        report = verify_factorization(op, bad, standard_testers())
+        assert report.summary() == "0/5 testers exact; first failure on 1"
+        assert report.first_failure.discrepancy == discrepancy
 
     def test_every_representative_with_random_drifts(self):
         testers = standard_testers()

@@ -277,3 +277,13 @@ class TestAddition:
         assert issubclass(WeightStructureError, ValueError)
         with pytest.raises(WeightStructureError, match="different weight structure"):
             sqrt_x2m1() - w_poly(X)
+
+    def test_incompatible_cells_carry_both_operands_as_written(self):
+        q = sqrt_x2m1()
+        for combine, verb in ((lambda a, b: a + b, "add"), (lambda a, b: a - b, "subtract")):
+            with pytest.raises(WeightStructureError, match=f"cannot {verb} ") as caught:
+                combine(q, w_poly(X))
+            assert caught.value.operands == (q, w_poly(X))
+        with pytest.raises(WeightStructureError) as caught:
+            1 - q
+        assert caught.value.operands == (as_weighted(1), q)
