@@ -329,8 +329,7 @@ def generate_assoc_legendre(n: int, m: int) -> WeightedExpression:
 
 def assoc_legendre_iterated(n: int, m: int) -> WeightedExpression:
     """P_n^m by applying the m-raising operators R_0, ..., R_(m-1) to P_n."""
-    if not 0 <= m <= n:
-        raise ValueError("need 0 <= m <= n")
+    FamilySpec("assoc-legendre", n, m=m)  # rejects any m outside 0..n
     acc = as_weighted(oracle_recurrence(FamilySpec("legendre", n)))
     for j in range(m):
         acc = make_operator(FamilySpec("assoc-legendre", n, m=j), RAISING).apply(acc)

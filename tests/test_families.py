@@ -304,6 +304,12 @@ class TestAssocLegendre:
         top = Fraction(math.factorial(2 * m), 2**m * math.factorial(m))  # the m-th derivative of P_m
         assert w == qpow(Fraction(m % 2, 2)) * as_weighted(X_SQ_MINUS_1 ** (m // 2) * top)
 
+    @pytest.mark.parametrize("build", [generate_assoc_legendre, assoc_legendre_iterated])
+    @pytest.mark.parametrize("m", [-1, 3], ids=["negative-m", "m-above-n"])
+    def test_order_outside_0_to_n_is_one_check(self, build, m):
+        with pytest.raises(ValueError, match=r"^assoc-legendre requires an order m with 0 <= m <= n$"):
+            build(2, m)
+
     def test_iterated_matches_definitional(self):
         for n in range(1, 8):
             for m in range(n + 1):
