@@ -141,6 +141,16 @@ def test_relation_scale_negative_control(monkeypatch):
     assert [f.params for f in report.failures()] == [{"n": str(n), "relation": "raising"} for n in range(1, 5)]
 
 
+def test_assoc_iterated_failure_carries_the_ratio(monkeypatch):
+    # the two constructions of P_n^m differ by a scalar on failure; the discrepancy names it
+    iterated = identities.assoc_legendre_iterated
+    monkeypatch.setattr(identities, "assoc_legendre_iterated", lambda n, m: iterated(n, m) * 2)
+    report = identity_check("assoc-relations", 2)
+    failing = [{"n": str(n), "m": str(m), "relation": "iterated = definitional"} for n in (1, 2) for m in range(n + 1)]
+    assert [f.params for f in report.failures()] == failing
+    assert [f.discrepancy for f in report.failures()] == ["2"] * len(failing)
+
+
 class TestRemainderTerm:
     def test_zero_drift_vanishes(self):
         for n in range(2, 9):
