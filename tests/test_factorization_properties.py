@@ -2,7 +2,9 @@
 
 Drifts are t = a polynomial of degree <= 2 plus simple poles at points that
 include every family's singular points (0 and +-1).  Each of the ten kinds is
-split in both index directions wherever the family prints a lowering operator.
+split in both index directions wherever the family prints a lowering operator,
+with its index n in 1..3 and its parameter drawn: m in 0..n, lambda and alpha
+small nonzero rationals (alpha > -1), ell in 0..3.
 Out-of-class drifts keep a double pole or an irreducible quadratic factor and
 must raise OutOfClassError, never anything else.
 """
@@ -22,24 +24,25 @@ from ladderpoly.weighted import as_weighted  # noqa: E402
 
 POLES = tuple(Fraction(p) for p in ("0", "1", "-1", "1/2", "2", "-3", "-2/3"))
 
-#: One spec per kind; the index is drawn, the family parameter is fixed.
+scalars = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+nonzero_scalars = scalars.filter(bool)
+alphas = nonzero_scalars.filter(lambda alpha: alpha > -1)
+
+#: kind -> (index n -> strategies for its parameter, as FamilySpec keywords).
 SPECS = {
-    "legendre": {},
-    "assoc-legendre": {"m": 1},
-    "gegenbauer": {"lam": Fraction(3, 2)},
-    "chebyshev-T": {},
-    "chebyshev-U": {},
-    "laguerre": {"alpha": Fraction(1, 2)},
-    "hermite": {},
-    "laguerre-radial": {"alpha": Fraction(-1, 2)},
-    "coulomb-radial": {"ell": 1},
-    "oscillator-3d": {"ell": 2},
+    "legendre": lambda n: {},
+    "assoc-legendre": lambda n: {"m": st.integers(0, n)},
+    "gegenbauer": lambda n: {"lam": nonzero_scalars},
+    "chebyshev-T": lambda n: {},
+    "chebyshev-U": lambda n: {},
+    "laguerre": lambda n: {"alpha": alphas},
+    "hermite": lambda n: {},
+    "laguerre-radial": lambda n: {"alpha": alphas},
+    "coulomb-radial": lambda n: {"ell": st.integers(0, 3)},
+    "oscillator-3d": lambda n: {"ell": st.integers(0, 3)},
 }
 NO_LOWERING = ("coulomb-radial", "oscillator-3d")
 OPERATORS = [(kind, RAISING) for kind in SPECS] + [(kind, LOWERING) for kind in SPECS if kind not in NO_LOWERING]
-
-scalars = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
-nonzero_scalars = scalars.filter(bool)
 polynomials = st.lists(scalars, max_size=3).map(lambda cs: Polynomial(tuple(cs)))
 pole_terms = st.lists(st.tuples(st.sampled_from(POLES), nonzero_scalars), max_size=2, unique_by=lambda term: term[0])
 
@@ -76,15 +79,18 @@ quadratic_factors = st.builds(
 )
 
 
-def operator(kind: str, direction: str, n: int):
-    return make_operator(FamilySpec(kind, n, **SPECS[kind]), direction)
+def operator(data, kind: str, direction: str):
+    """The kind's operator in the given direction, at a drawn index n in 1..3 and a drawn parameter."""
+    n = data.draw(st.integers(1, 3), label="n")
+    spec = data.draw(st.builds(FamilySpec, st.just(kind), st.just(n), **SPECS[kind](n)), label="spec")
+    return make_operator(spec, direction)
 
 
 @pytest.mark.parametrize("kind,direction", OPERATORS, ids=[f"{k}-{d}" for k, d in OPERATORS])
 @settings(max_examples=12, deadline=None)
-@given(n=st.integers(1, 3), t=in_class_drifts)
-def test_any_in_class_drift_factorizes_exactly(kind, direction, n, t):
-    op = operator(kind, direction, n)
+@given(data=st.data(), t=in_class_drifts)
+def test_any_in_class_drift_factorizes_exactly(kind, direction, data, t):
+    op = operator(data, kind, direction)
     fac = factorize(op, t)
     assert fac.f1 * fac.g2 == op.a
     assert fac.h == op.a * as_weighted(t)
@@ -97,9 +103,9 @@ def test_any_in_class_drift_factorizes_exactly(kind, direction, n, t):
 
 @pytest.mark.parametrize("kind,direction", OPERATORS, ids=[f"{k}-{d}" for k, d in OPERATORS])
 @settings(max_examples=4, deadline=None)
-@given(n=st.integers(1, 3), t=double_poles | quadratic_factors)
-def test_out_of_class_drift_raises_out_of_class(kind, direction, n, t):
-    op = operator(kind, direction, n)
+@given(data=st.data(), t=double_poles | quadratic_factors)
+def test_out_of_class_drift_raises_out_of_class(kind, direction, data, t):
+    op = operator(data, kind, direction)
     with pytest.raises(OutOfClassError):
         factorize(op, t)
 
