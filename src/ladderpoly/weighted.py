@@ -164,7 +164,8 @@ class WeightedExpression:
             raise WeightStructureError("subtract", self, other) from None
 
     def __rsub__(self, other: Coercible) -> WeightedExpression:
-        return _coerce(other) - self
+        other = _coerce(other)
+        return NotImplemented if other is NotImplemented else other - self
 
     def __neg__(self) -> WeightedExpression:
         return self._in_cell(-self.coeff)
@@ -200,7 +201,8 @@ class WeightedExpression:
         )
 
     def __rtruediv__(self, other: Coercible) -> WeightedExpression:
-        return _coerce(other) / self
+        other = _coerce(other)
+        return NotImplemented if other is NotImplemented else other / self
 
     # -- calculus -----------------------------------------------------------
 

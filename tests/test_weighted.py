@@ -75,6 +75,12 @@ class TestNormalization:
         with pytest.raises(TypeError, match="not an exact scalar"):
             WeightedExpression.power(root, exponent)
 
+    @pytest.mark.parametrize("combine", [lambda a, b: a - b, lambda a, b: a / b], ids=["sub", "div"])
+    def test_inexact_left_operand_is_a_type_error(self, combine):
+        # the reflected operators hand an operand they cannot read back to Python
+        with pytest.raises(TypeError, match="unsupported operand"):
+            combine(0.5, as_weighted(3))
+
     def test_fold_builds_one_rational_function(self, monkeypatch):
         coeff = RationalFunction(X + 2, X - 3)
         powers = ((1, Fraction(7, 2)), (-1, -2), (0, 3), (1, HALF), (2, Fraction(3, 2)))
