@@ -244,6 +244,11 @@ class TestRodriguesChain:
             assert rodrigues_chain(spec("chebyshev-T", n), "one-step-split") == oracle_recurrence(spec("chebyshev-T", n))
             assert rodrigues_chain(spec("hermite", n), "h0-chain") == oracle_recurrence(spec("hermite", n))
 
+    def test_hermite_chain_matches_oracle_to_40(self):
+        # both parities of the laguerre-radial reduction, well past the suite's cap of n = 12
+        for n in range(2, 41):
+            assert rodrigues_chain(spec("hermite", n), "h0-chain") == oracle_recurrence(spec("hermite", n))
+
     def test_chain_preconditions(self):
         with pytest.raises(ValueError):
             rodrigues_chain(spec("chebyshev-T", 1), "h0-chain")
@@ -271,7 +276,7 @@ class TestHermiteReductions:
         assert hermite_from_laguerre(0, "odd") == X * 2
 
     def test_matches_oracle(self):
-        for n in range(7):
+        for n in range(21):
             assert hermite_from_laguerre(n, "even") == oracle_recurrence(spec("hermite", 2 * n))
             assert hermite_from_laguerre(n, "odd") == oracle_recurrence(spec("hermite", 2 * n + 1))
 
