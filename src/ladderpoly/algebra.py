@@ -416,11 +416,6 @@ class RationalFunction:
     def is_polynomial(self) -> bool:
         return self.den == ONE
 
-    def as_polynomial(self) -> Polynomial:
-        if not self.is_polynomial:
-            raise ValueError(f"denominator {self.den} does not divide numerator")
-        return self.num
-
     def __add__(self, other: RationalFunction | Polynomial | Scalar) -> RationalFunction:
         """a/b + c/d with d1 = gcd(b, d): only gcd(a*(d/d1) + c*(b/d1), d1) can cancel."""
         other = _as_ratfn(other)
@@ -488,12 +483,6 @@ class RationalFunction:
             return RationalFunction._reduced(a.diff(), ONE)
         b1, db = _cancel(b, b.diff())
         return RationalFunction._reduced(a.diff() * b1 - a * db, b * b1)
-
-    def __call__(self, point: Scalar) -> Fraction:
-        d = self.den(point)
-        if d == 0:
-            raise ZeroDivisionError(f"pole at {point}")
-        return self.num(point) / d
 
     def to_text(self, var: str = "x") -> str:
         if self.is_polynomial:

@@ -304,16 +304,19 @@ def generate_ladder(spec: FamilySpec) -> Polynomial:
     return raised.as_polynomial() * scale(n)
 
 
+def _hermite_reduction(n: int) -> tuple[FamilySpec, Polynomial]:
+    """H_n = factor * L_k^(p-1/2)(x^2) for n = 2k + p (DLMF 18.7.19-20): the
+    laguerre-radial spec (k, p - 1/2) and the factor (-1)^k 2^n k! x^p."""
+    k, p = divmod(n, 2)
+    return FamilySpec("laguerre-radial", k, alpha=Fraction(2 * p - 1, 2)), X**p * ((-1) ** k * 2**n * math.factorial(k))
+
+
 def hermite_from_laguerre(n: int, parity: str) -> Polynomial:
     """H_(2n) or H_(2n+1) through the half-integer Laguerre reduction."""
     if parity not in ("even", "odd"):
         raise ValueError("parity must be 'even' or 'odd'")
-    sign = -1 if n % 2 else 1
-    if parity == "even":
-        base = generate_ladder(FamilySpec("laguerre", n, alpha=Fraction(-1, 2)))
-        return base.compose(X * X) * (sign * 2 ** (2 * n) * math.factorial(n))
-    base = generate_ladder(FamilySpec("laguerre", n, alpha=Fraction(1, 2)))
-    return X * base.compose(X * X) * (sign * 2 ** (2 * n + 1) * math.factorial(n))
+    radial, factor = _hermite_reduction(2 * n + (parity == "odd"))
+    return generate_ladder(radial) * factor
 
 
 def generate_assoc_legendre(n: int, m: int) -> WeightedExpression:
@@ -342,15 +345,12 @@ def assoc_legendre_iterated(n: int, m: int) -> WeightedExpression:
 
 
 def _hermite_radial_row(n: int, spec: FamilySpec) -> tuple:
-    # H_(2k) and H_(2k+1) through the x = r^2 Laguerre chains at alpha = -+1/2.
-    # The even display's prefactor is r^(2-2k): the printed r^(-2k) is
-    # inconsistent with the Laguerre reduction and fails to cancel the weights.
-    # The odd display's prefactor carries the extra r of H_(2k+1) ~ r L_k^(1/2)(r^2).
-    k, parity = divmod(n, 2)
-    sign = -1 if k % 2 else 1
-    left = rpow(2 - 2 * k - parity) * WeightedExpression.exp_of(X * X)
-    operand = rpow(1 + 2 * parity) * WeightedExpression.exp_of(-(X * X))
-    return left, [DIFF] + [rpow(3), DIFF] * (k - 1), operand, Fraction(sign * 2 ** (k + parity))
+    # The laguerre-radial row at (k, p - 1/2), with x^p of ``_hermite_reduction``'s factor
+    # in the left weight, now r^(2-2k-p) exp(r^2), and its constant in the scale.  The paper's
+    # printed r^(-2k) is inconsistent with the reduction and fails to cancel the weights.
+    radial, factor = _hermite_reduction(n)
+    left, steps, operand, scale = _CHAINS["laguerre-radial", "h0-chain"][1](radial.n, radial)
+    return X**factor.degree * left, steps, operand, scale * factor.leading
 
 
 #: (kind, variant) -> (least n, (n, spec) -> (left, steps, operand, scale)):

@@ -235,19 +235,9 @@ class WeightedExpression:
 
     def as_polynomial(self) -> Polynomial:
         """The coefficient polynomial, once every weight has cancelled."""
-        if self.is_zero:
-            return ZERO
-        survivors = []
-        if self.powers:
-            survivors.append(
-                "power factors " + ", ".join(f"(x - {pf.root})^{pf.exponent}" for pf in self.powers)
-            )
-        if not self.exp_arg.is_zero:
-            survivors.append(f"exponential exp({self.exp_arg})")
-        if not self.coeff.is_polynomial:
-            survivors.append(f"denominator {self.coeff.den}")
-        if survivors:
-            raise NotPolynomialError("not a polynomial; surviving " + "; ".join(survivors))
+        if self.powers or not self.exp_arg.is_zero or not self.coeff.is_polynomial:
+            survivor = self._in_cell(RationalFunction._reduced(ONE, self.coeff.den))
+            raise NotPolynomialError(f"not a polynomial; surviving {survivor}")
         return self.coeff.num
 
     def scalar_ratio(self, other: Coercible) -> Fraction | None:

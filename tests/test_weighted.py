@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -249,6 +250,22 @@ class TestAsPolynomial:
     def test_zero(self):
         assert as_weighted(0).as_polynomial() == ZERO
 
+    @pytest.mark.parametrize(
+        "member, survivor",
+        [
+            (sqrt_x2m1(), "(x + 1)^(1/2) * (x - 1)^(1/2)"),
+            (
+                WeightedExpression(RationalFunction(X * X + 3, X), ((0, Fraction(2, 3)),), X * X),
+                "1/(x) * x^(2/3) * exp(x^2)",
+            ),
+            (as_weighted(RationalFunction(X - 5, Polynomial.of(HALF, 1))), "1/(x + 1/2)"),
+        ],
+        ids=["power factor", "exponential", "denominator"],
+    )
+    def test_survivor_named_with_numerator_one(self, member, survivor):
+        with pytest.raises(NotPolynomialError, match=rf"^not a polynomial; surviving {re.escape(survivor)}$"):
+            member.as_polynomial()
+
 
 class TestScalarRatio:
     def test_plain_scalar(self):
@@ -261,6 +278,10 @@ class TestScalarRatio:
 
     def test_different_functions(self):
         assert w_poly(X).scalar_ratio(w_poly(X * X)) is None
+
+    def test_different_cells(self):
+        # (x^2-1)^(1/2) against r^(1/2): no scalar relates members of two weight cells
+        assert sqrt_x2m1().scalar_ratio(WeightedExpression.power(0, HALF)) is None
 
     def test_zero_rules(self):
         zero = as_weighted(0)
