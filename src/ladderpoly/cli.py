@@ -175,7 +175,7 @@ def cmd_factorize(args) -> int:
             "params": spec.params(),
             "direction": args.direction,
             "n": args.n,
-            "drift": str(fac.drift),
+            "drift": fac.drift.to_text(op.var),
             "operator": str(op),
             "f1": _weighted_json(fac.f1),
             "g2": _weighted_json(fac.g2),

@@ -201,6 +201,13 @@ class TestFactorize:
         assert payload["g2"]["coeff"]["den"] == ["-1", "0", "1"]
         assert payload["g2"]["powers"] == []
 
+    @pytest.mark.parametrize("family", [("laguerre-radial", "--alpha", "1/2"), ("oscillator-3d", "--ell", "1")])
+    def test_radial_json_drift_is_in_r(self, capsys, family):
+        code, out, _ = run(capsys, "factorize", "--family", *family, "--n", "1", "--drift", "r^2+1", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["drift"] == "r^2 + 1"  # in the operator's variable, as the text mode writes it
+
     def test_out_of_class_drift(self, capsys):
         code, _, err = run(
             capsys, "factorize", "--family", "legendre", "--n", "2", "--drift", "1/(x^2+1)"

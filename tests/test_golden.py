@@ -80,7 +80,7 @@ GOLDEN = {
     'factorize chebyshev-T text': 'e843092dc75f658cf27c87af1745d596b4bfec9c034a2705c0fcd1b667d9fbd3',
     'factorize chebyshev-U': '475917f66832c3a9a8d070676cdb11a7c6e6304d3d399b86aa2773e62e53186b',
     'factorize chebyshev-U text': '25f973f5aeea48184ec0c70bbf0372b9d73ceabdeb7bf2f0c4d371ca2353e6c1',
-    'factorize coulomb-radial': 'dbc8b569a5373ad40c6ff10b3bddc4d00c2368523497510324de59720fe9e1a6',
+    'factorize coulomb-radial': '968ac3a4f0b82a5ce6d05590092a66095ad33b81481b53eebd3449bd26263088',
     'factorize coulomb-radial text': '4624d63d3e368622e5299682c58ca8e28d56f1bbfbe03a6a65655e15352e6334',
     'factorize gegenbauer': '9480b3f2f7ac30c80636af4caa9dd6943ecdd0885ff7a5b2138f4305a13fd1ee',
     'factorize gegenbauer text': '9c9af3383b2643cd72bd4e43db64a77c9e2e2b1d020292bf7400d55eb9cd8e39',
@@ -88,7 +88,7 @@ GOLDEN = {
     'factorize hermite text': '75bc95b2f474e0e9ed4a55a0f2a1fb117747c0606078d09db8719a7ebabfe2e2',
     'factorize laguerre': 'f9b564827512559c57f28ab4025aca66d556e4ff4ef333b6439db14a6fe128cb',
     'factorize laguerre text': 'e473f68454ea9e7e7aecae13860d3145f88a04f72cd949c2d1a1e2b963c3ec8e',
-    'factorize laguerre-radial': '59ad926248fc378db5b52b52c18f17e51a289f0cc437ec6fe3ab27e3b76530a5',
+    'factorize laguerre-radial': '6c45a8d4466ac1058c358112efcfcc81e1ccb2d2be1e65fde86ba12c24b2696d',
     'factorize laguerre-radial text': '9acabba5325c60b05342f47fbf5293383a89d787c6b8914b2f922ed9ced11ae5',
     'factorize legendre': '75903cf220bfc0a283aa95d61018dd7d292d9cb2b65f4e2b93621295cf41e487',
     'factorize legendre text': 'c9ad97b3d59a0e71f2f1475a86a1878412242471e8dd7abeba184c8f9059f768',
@@ -104,11 +104,11 @@ GOLDEN = {
     'factorize lowering hermite text': 'c3a6da0bfd011c00b0ba32998795e1be20e7cde53f12a9c426748fb6201663ea',
     'factorize lowering laguerre': '11385d528bff57b6d939e6a4aba8c484212a2b7083a93d00cd3eea724da5830e',
     'factorize lowering laguerre text': 'c2899afd9da3015348aa40441a6e95d8379b2215fa7493522fd76eee61653713',
-    'factorize lowering laguerre-radial': 'b4f0097a8fa5602838e8c497eb96adcc34afee1fcce4bbf803a57ccc44360c1b',
+    'factorize lowering laguerre-radial': '2e2a8fea179286e7f5fbe26afb366bacb609d10909591e57e79df845101d1fd2',
     'factorize lowering laguerre-radial text': 'd156ace454c08fef1a10b9d2765dfaeed320b78e2fd76ad62cb236fc43ad391d',
     'factorize lowering legendre': '8ed6da1355442ba1addafaef40086d33ba40af655eb69ff1b9d52f12a9080248',
     'factorize lowering legendre text': '517bedb428b9b934cf14864587b3de8336ab93df5017cc25228645731a977184',
-    'factorize oscillator-3d': '7e20eee80ef9930739592adfa6892836ed56b032225d68229b0a90907c95b2cf',
+    'factorize oscillator-3d': 'f81748cd6da12fb5c74a3c490cba19cc9cd674b7893ce6b2ecbe9a2aa24f26d4',
     'factorize oscillator-3d text': '32608cc46eb82e55edb8f8670bc327235f4f80433a9544624d457249bb528f4c',
     'gen assoc-legendre m=2': '746925c2d74e78fdd1e4d06094e7e96dcd8d7efea79f80ef55874e4a79edef93',
     'gen assoc-legendre m=2 latex': '07a42bb085f34dccc13885d8cc5e3b1917c87f3229a41e2f6151a00553c9eaf0',
