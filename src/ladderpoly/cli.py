@@ -21,7 +21,7 @@ from .algebra import Polynomial
 from .families import FamilySpec, KINDS, generate_assoc_legendre, generate_ladder, make_operator
 from .ladder import LOWERING, OutOfClassError, RAISING, factorize, rational_part, verify_factorization
 from .parsing import ParseError, parse_expression
-from .verify import SUITE_NAMES, run_suite, standard_testers
+from .verify import SUITE_NAMES, check_n_max, run_suite, standard_testers
 from .weighted import WeightedExpression, as_weighted
 
 def _fraction(text: str) -> Fraction:
@@ -116,6 +116,7 @@ def _weighted_json(w: WeightedExpression) -> dict:
 
 
 def _gen_members(args) -> tuple[FamilySpec, list[tuple[int, WeightedExpression]]]:
+    check_n_max(args.n_max)
     spec = _family_spec(args, args.n_max)  # rejects a missing m and any m outside 0..n_max
     if spec.kind == "assoc-legendre":
         return spec, [(n, generate_assoc_legendre(n, spec.m)) for n in range(spec.m, args.n_max + 1)]

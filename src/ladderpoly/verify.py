@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import Polynomial, X
+from .algebra import MAX_EXPONENT, Polynomial, X
 from .families import (
     FamilySpec,
     generate_ladder,
@@ -188,12 +188,19 @@ _ALL_ONLY = (_as_given, _identities("legendre-relations", "gegenbauer-updown", "
 SUITE_NAMES = (*_SUITES, "all")
 
 
+def check_n_max(n_max: int) -> None:
+    """Refuse an n_max past ``MAX_EXPONENT``, the bound on every degree, before any work."""
+    if n_max > MAX_EXPONENT:
+        raise ValueError(f"n_max {n_max} exceeds the limit {MAX_EXPONENT}")
+
+
 def run_suite(suite: str, n_max: int, negative_control: bool = False) -> SuiteResult:
     """Run one named verification suite; ``all`` runs every suite."""
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}")
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
+    check_n_max(n_max)
     if negative_control and suite not in ("oracle", "all"):
         raise ValueError(f"the negative control corrupts only the oracle suite, which {suite!r} does not run")
     entries = [*_SUITES.values(), _ALL_ONLY] if suite == "all" else [_SUITES[suite]]

@@ -3,12 +3,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from ladderpoly import cli
+from ladderpoly import cli, verify
 from ladderpoly.algebra import Polynomial
 from ladderpoly.cli import main
 from ladderpoly.families import FamilySpec, generate_ladder, oracle_recurrence
@@ -170,6 +171,45 @@ class TestVerify:
         with pytest.raises(SystemExit) as excinfo:
             main(["verify", "--suite", "everything", "--n-max", "5"])
         assert excinfo.value.code == 2
+
+
+class TestNMaxLimit:
+    """gen and verify refuse an n_max past algebra.MAX_EXPONENT (512) before any work."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("gen", "--family", "legendre"),
+            ("gen", "--family", "assoc-legendre", "--m", "2"),
+            ("verify", "--suite", "all"),
+            ("verify", "--suite", "oracle"),
+        ],
+        ids=["gen", "gen-assoc-legendre", "verify-all", "verify-oracle"],
+    )
+    def test_one_past_the_limit_is_usage_error_at_once(self, argv):
+        start = time.perf_counter()
+        done = run_process(*argv, "--n-max", "513")
+        assert time.perf_counter() - start < 1
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == "error: n_max 513 exceeds the limit 512\n"
+
+    def test_library_suite_refuses_past_the_limit(self):
+        with pytest.raises(ValueError, match=r"^n_max 513 exceeds the limit 512$"):
+            verify.run_suite("factorization", 513)
+
+    def test_verify_at_the_limit(self):
+        done = run_process("verify", "--suite", "factorization", "--n-max", "512", timeout=30)
+        assert done.returncode == 0
+        assert done.stdout.splitlines()[-1] == "PASS"
+
+    def test_gen_at_the_limit(self, tmp_path):
+        out = tmp_path / "table.json"
+        done = run_process("gen", "--family", "chebyshev-T", "--n-max", "512", "--out", str(out), timeout=30)
+        assert done.returncode == 0
+        records = json.loads(out.read_text())["records"]
+        assert [r["n"] for r in records] == list(range(513))
+        assert records[-1]["coefficients"][-1] == str(2**511)  # T_512 leads with 2^511
 
 
 class TestFactorize:
