@@ -413,6 +413,23 @@ def test_negative_rational_as_separate_argument(capsys, argv, option, value):
     assert (separate[0], separate[2]) == (0, "")
 
 
+@pytest.mark.parametrize(
+    "argv,option,value",
+    [
+        (("gen", "--family", "laguerre", "--n-max", "2"), "--alpha", "abc"),
+        (("factorize", "--family", "gegenbauer", "--n", "2"), "--lambda", "1/0"),
+    ],
+    ids=["gen-alpha-abc", "factorize-lambda-1/0"],
+)
+def test_inexact_rational_is_usage_error(capsys, argv, option, value):
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, option, value])
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 2
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: argument {option}: not an exact rational: '{value}'\n")
+
+
 @pytest.mark.parametrize("drift", ["-x", "-x+1", "-(x+1)"])
 def test_negative_drift_as_separate_argument(capsys, drift):
     argv = ("factorize", "--family", "legendre", "--n", "2")
