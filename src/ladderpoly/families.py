@@ -346,8 +346,8 @@ def assoc_legendre_iterated(n: int, m: int) -> WeightedExpression:
 
 def _hermite_radial_row(n: int, spec: FamilySpec) -> tuple:
     # The laguerre-radial row at (k, p - 1/2), with x^p of ``_hermite_reduction``'s factor
-    # in the left weight, now r^(2-2k-p) exp(r^2), and its constant in the scale.  The paper's
-    # printed r^(-2k) is inconsistent with the reduction and fails to cancel the weights.
+    # in the left weight, making it r^(2-2k-p) exp(r^2), and its constant in the scale.  The
+    # paper's printed r^(-2k) is inconsistent with the reduction and fails to cancel the weights.
     radial, factor = _hermite_reduction(n)
     left, steps, operand, scale = _CHAINS["laguerre-radial", "h0-chain"][1](radial.n, radial)
     return X**factor.degree * left, steps, operand, scale * factor.leading
