@@ -144,7 +144,9 @@ GOLDEN = {
     'verify rodrigues n=12': '70df0fb5ccbcec4fc91006e01432c39a6626ded6518b59ec2dc6a8e6ef9283b2',
 }
 
+#: The remainder report's JSON at n = 3..5, and at its default n = 3..8.
 REMAINDER_GOLDEN = "d0e31ac414d1da3f7cf712ff8347642c4a632cc3bd3b4876cd197ee08585be2e"
+REMAINDER_DEFAULT_GOLDEN = "97970c439d6b8745541903f2c96fb82c3024df4f620f19fdfeee29a9d4dcf5f2"
 
 
 def _digest(text: str) -> str:
@@ -159,8 +161,8 @@ def cli_digest(argv: list[str]) -> str:
     return _digest(buffer.getvalue())
 
 
-def remainder_digest() -> str:
-    return _digest(json.dumps(remainder_structure_report(range(3, 6)).to_dict()))
+def remainder_digest(*n_values) -> str:
+    return _digest(json.dumps(remainder_structure_report(*n_values).to_dict()))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -169,4 +171,8 @@ def test_cli_output_unchanged(name):
 
 
 def test_remainder_report_unchanged():
-    assert remainder_digest() == REMAINDER_GOLDEN
+    assert remainder_digest(range(3, 6)) == REMAINDER_GOLDEN
+
+
+def test_default_remainder_report_unchanged():
+    assert remainder_digest() == REMAINDER_DEFAULT_GOLDEN
