@@ -16,9 +16,8 @@ ground weight of the step p_k = c_k R p_(k-1); ``_RECURRENCES`` holds
 (p_1, k -> (A_k, B_k, C_k)) for p_(k+1) = (A_k x + B_k) p_k - C_k p_(k-1);
 ``_CHAINS`` holds, per family and Rodrigues form (the standard p_n =
 (1/(K_n w)) D^n (w sigma^n) or a chain variant), the least n and the chain
-[left, *steps] applied to an operand; Legendre and Chebyshev U read the
-Gegenbauer rows at lambda = 1/2 and 1, since P_n = C_n^(1/2) and U_n =
-C_n^(1), so each printed formula has one row.  ``KINDS`` and
+[left, *steps] applied to an operand, which ``drift_chain`` reads with each D
+as D - s t for a drift t, or as D alone for the member.  ``KINDS`` and
 ``GENERATING_KINDS`` are the keys of ``_OPERATORS`` and ``_LADDERS``.
 Rows are functions of the index and the spec, so no weighted expression is
 built at import time.
@@ -38,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import ONE, Polynomial, RationalFunction, X, _coerce_scalar, nth_derivative
-from .ladder import DIFF, LOWERING, RAISING, LadderOperator, apply_chain
+from .ladder import DIFF, LOWERING, RAISING, LadderOperator
 from .weighted import WeightedExpression, as_weighted
 
 X_SQ_MINUS_1 = Polynomial.of(-1, 0, 1)
@@ -421,28 +420,21 @@ _GEGENBAUER_LAMBDA = {"legendre": Fraction(1, 2), "chebyshev-U": Fraction(1)}
 
 
 def rodrigues_standard(spec: FamilySpec) -> Polynomial:
-    """The printed n-fold-derivative Rodrigues formula, evaluated exactly.
-
-    Half-integer weights are evaluated in the (x - root) basis; the scalars
-    1/K_n fold in the net (-1)^n basis phase so the result matches the
-    recurrence oracle exactly.
-    """
-    return _rodrigues(spec, "standard")
+    """The printed n-fold-derivative Rodrigues formula, evaluated exactly from its ``_CHAINS`` row."""
+    return drift_chain(chain_row(spec, "standard"))[0]
 
 
 def rodrigues_chain(spec: FamilySpec, variant: str) -> Polynomial:
-    """Printed chain forms: iterated h=0 chains and one-step-split chains.
+    """A printed chain form, the h0-chain or the one-step split, from its ``_CHAINS`` row.
 
-    h0-chain alternates multiplication by the three-halves-power weight with
-    differentiation; one-step-split applies a single weighted derivative to an
-    (n-1)-fold plain derivative.  Radial variants return polynomials in r.
+    Radial variants return polynomials in r.
     """
     if variant not in ("h0-chain", "one-step-split"):
         raise ValueError(f"unknown chain variant: {variant!r}")
-    return _rodrigues(spec, variant)
+    return drift_chain(chain_row(spec, variant))[0]
 
 
-def _rodrigues(spec: FamilySpec, variant: str) -> Polynomial:
+def chain_row(spec: FamilySpec, variant: str) -> tuple:
     """The (kind, variant) row of ``_CHAINS`` (gegenbauer's for a kind in ``_GEGENBAUER_LAMBDA``) at spec."""
     lam = _GEGENBAUER_LAMBDA.get(spec.kind)
     row_spec = spec if lam is None else FamilySpec("gegenbauer", spec.n, lam=lam)
@@ -452,8 +444,26 @@ def _rodrigues(spec: FamilySpec, variant: str) -> Polynomial:
     if spec.n < least:
         raise ValueError(f"the {variant} form of {spec.kind} needs n >= {least}")
     try:
-        left, steps, operand, scale = row(spec.n, row_spec)
+        return row(spec.n, row_spec)
     except ZeroDivisionError:  # a scale's Pochhammer denominator vanishes, e.g. gegenbauer at lambda = -1, n = 2
         params = ", ".join(f"{name} = {value}" for name, value in spec.params().items())
         raise ValueError(f"the {variant} form of {spec.kind} is undefined at n = {spec.n}, {params}") from None
-    return (apply_chain([left, *steps], operand) * scale).as_polynomial()
+
+
+def drift_chain(row: tuple, t: WeightedExpression | None = None) -> list[Polynomial]:
+    """The s^0, s^1, ... coefficients of a ``chain_row`` read with each D as D - s t; without t, the member.
+
+    D - s t maps [c_0, ..., c_k] to [c_0', c_1' - t c_0, ..., -t c_k].  As e D e^(-1) = D - t for
+    e = exp(int t), the sum at s = 1 is the chain with e on the left and 1/e on the operand.
+    """
+    left, steps, operand, scale = row
+    coeffs = [as_weighted(operand)]
+    for step in reversed([left, *steps]):
+        if step is not DIFF:
+            coeffs = [step * c for c in coeffs]
+        elif t is None:
+            coeffs = [coeffs[0].diff()]
+        else:
+            zero = as_weighted(0)
+            coeffs = [a.diff() - t * b for a, b in zip([*coeffs, zero], [zero, *coeffs])]
+    return [(c * scale).as_polynomial() for c in coeffs]

@@ -20,12 +20,13 @@ from .families import (
     FamilySpec,
     X_SQ_MINUS_1,
     assoc_legendre_iterated,
+    chain_row,
+    drift_chain,
     generate_assoc_legendre,
     make_operator,
     oracle_recurrence,
-    qpow,
 )
-from .ladder import DIFF, ChainStep, InstanceResult, LOWERING, RAISING, apply_chain
+from .ladder import InstanceResult, LOWERING, RAISING, apply_chain
 from .weighted import WeightedExpression, as_weighted, exp_integral
 
 DEFAULT_LAMBDAS = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2))
@@ -235,46 +236,32 @@ def identity_check(identity_id: str, n_max: int) -> IdentityReport:
 def remainder_term(n: int, h: Polynomial) -> WeightedExpression:
     """F[h] = n! P_n minus the drift-weighted chain, exactly.
 
-    The chain multiplies the exponential drift factor e = exp(int h/(x^2-1))
-    once on the left and divides by it once on the right; iterating the
-    factorized raising operators makes the interior e-factors cancel pairwise,
-    and only this single-factor reading leaves F a differential polynomial in
-    h.  F[0] is identically zero.
+    The chain is the Legendre h0-chain row with e = exp(int h/(x^2-1)) put once
+    on the left and divided once out of the operand: the interior e-factors of
+    the iterated raising operators cancel pairwise, and only this single-factor
+    reading leaves F a differential polynomial in h.  F[0] is identically zero.
     """
     if n < 2:
         raise ValueError("the remainder term needs n >= 2")
+    left, steps, operand, scale = chain_row(FamilySpec("legendre", n), "h0-chain")
     drift_factor = exp_integral(RationalFunction(h, X_SQ_MINUS_1))
-    left = qpow(Fraction(2 - n, 2)) * drift_factor
-    steps: list[ChainStep] = [left, DIFF] + [qpow(Fraction(3, 2)), DIFF] * (n - 1)
-    chain = apply_chain(steps, qpow(Fraction(1, 2)) / drift_factor)
-    target = as_weighted(_legendre(n) * math.factorial(n))
-    return target - chain
+    chain = apply_chain([left * drift_factor, *steps], operand / drift_factor)
+    return (as_weighted(_legendre(n)) - chain * scale) * math.factorial(n)
 
 
 def remainder_expansion(n: int, h: Polynomial) -> list[Polynomial]:
     """Coefficients G_0..G_n of F[s*h] as a polynomial in the scale s.
 
-    Conjugating D by the drift factor e gives e D e^(-1) = D - s t with
-    t = h/(x^2-1), so the chain of ``remainder_term`` at drift s*h is
-    (x^2-1)^((2-n)/2) (D - s t) [(x^2-1)^(3/2) (D - s t)]^(n-1) (x^2-1)^(1/2).
-    It is evaluated in one pass on the list of s-coefficients, where D - s t
-    maps [c_0, ..., c_k] to [c_0', c_1' - t c_0, ..., c_k' - t c_(k-1), -t c_k].
-    Each of the n factors D - s t raises the degree in s by one, so the degree
-    bound n holds by construction.  Every G_j is a plain polynomial; G_0 is
-    zero.
+    e D e^(-1) = D - s t with t = h/(x^2-1), so F[s*h] is n! (P_n minus the
+    Legendre h0-chain read by ``drift_chain`` at t): n factors D - s t, each
+    raising the degree in s by one.  Every G_j is a polynomial; G_0 is zero.
     """
     if n < 2:
         raise ValueError("the remainder term needs n >= 2")
     t = as_weighted(RationalFunction(h, X_SQ_MINUS_1))
-    zero = as_weighted(0)
-    coeffs = [qpow(Fraction(1, 2))]
-    for weight in [qpow(Fraction(3, 2))] * (n - 1) + [qpow(Fraction(2 - n, 2))]:
-        lowered = [c.diff() for c in coeffs] + [zero]
-        shifted = [zero] + [t * c for c in coeffs]
-        coeffs = [weight * (a - b) for a, b in zip(lowered, shifted)]
-    expansion = [-c.as_polynomial() for c in coeffs]
-    expansion[0] = expansion[0] + _legendre(n) * math.factorial(n)
-    return expansion
+    coeffs = drift_chain(chain_row(FamilySpec("legendre", n), "h0-chain"), t)
+    coeffs[0] = coeffs[0] - _legendre(n)
+    return [c * -math.factorial(n) for c in coeffs]
 
 
 def remainder_linear_coefficients(n: int) -> list[Polynomial]:
