@@ -4,9 +4,9 @@ import math
 
 from ladderpoly.algebra import PartialFractions, Polynomial, RationalFunction, as_rational_function, linear
 from ladderpoly.families import FamilySpec, make_operator, oracle_recurrence
-from ladderpoly.ladder import LOWERING, RAISING, factorize
+from ladderpoly.ladder import LOWERING, RAISING, apply_chain, factorize
 from ladderpoly.verify import random_drifts, representative_operators, standard_testers
-from ladderpoly.weighted import as_weighted
+from ladderpoly.weighted import as_weighted, exp_integral
 
 
 def _legendre(n: int) -> Polynomial:
@@ -51,6 +51,14 @@ def legendre_operator_relation_holds(n: int, drift) -> bool:
     result = fac.apply(operand)
     expected = _legendre(n) * (2 ** (n - 1) * math.factorial(n))
     return result.as_polynomial() == expected
+
+
+def drift_factor_chain(row: tuple, t: RationalFunction) -> Polynomial:
+    """A ``families.chain_row`` applied with e = exp(int t) put on its left and
+    divided out of its operand: the chain with every D read as e D e^(-1) = D - t."""
+    left, steps, operand, scale = row
+    e = exp_integral(t)
+    return (apply_chain([left * e, *steps], operand / e) * scale).as_polynomial()
 
 
 def reference_factorization_instances(split=factorize, num_drifts: int = 25) -> list[tuple[dict, bool, str | None]]:

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from ladderpoly import identities
-from ladderpoly.algebra import ONE, Polynomial, X, ZERO
-from ladderpoly.families import FamilySpec, X_SQ_MINUS_1, oracle_recurrence
+from ladderpoly.algebra import ONE, Polynomial, RationalFunction, X, ZERO
+from ladderpoly.families import FamilySpec, X_SQ_MINUS_1, chain_row, drift_chain, oracle_recurrence
 from ladderpoly.identities import (
     check_eq31,
     check_eq33_eq35,
@@ -15,9 +15,11 @@ from ladderpoly.identities import (
     remainder_structure_report,
     remainder_term,
 )
+from ladderpoly.ladder import DIFF
 from ladderpoly.verify import random_drifts
+from ladderpoly.weighted import as_weighted
 
-from helpers import legendre_operator_relation_holds
+from helpers import drift_factor_chain, legendre_operator_relation_holds
 
 
 def legendre(n):
@@ -151,6 +153,18 @@ def test_assoc_iterated_failure_carries_the_ratio(monkeypatch):
     assert [f.discrepancy for f in report.failures()] == ["2"] * len(failing)
 
 
+#: (spec, sigma) for every h0-chain row, legendre and chebyshev-U reading the
+#: gegenbauer one; a row's drift is t = h/sigma.
+H0_CHAIN_ROWS = [
+    (FamilySpec("chebyshev-T", 2), X_SQ_MINUS_1),
+    (FamilySpec("gegenbauer", 2, lam=Fraction(3, 2)), X_SQ_MINUS_1),
+    (FamilySpec("legendre", 2), X_SQ_MINUS_1),
+    (FamilySpec("chebyshev-U", 2), X_SQ_MINUS_1),
+    (FamilySpec("laguerre-radial", 2, alpha=Fraction(1, 2)), X),
+    (FamilySpec("hermite", 2), X),
+]
+
+
 class TestRemainderTerm:
     def test_zero_drift_vanishes(self):
         for n in range(2, 9):
@@ -182,6 +196,20 @@ class TestRemainderTerm:
             for s in range(n + 2):
                 total = sum((g * s**j for j, g in enumerate(expansion)), ZERO)
                 assert total == remainder_term(n, h * s).as_polynomial()
+        # every h0-chain row through the same evaluator, at t = h/sigma: s^0 is the
+        # member, there is one coefficient per D plus one, each a polynomial, and
+        # their sum is the chain with the drift factor exp(int t) around it
+        for spec, sigma in H0_CHAIN_ROWS:
+            row = chain_row(spec.with_n(n), "h0-chain")
+            member = oracle_recurrence(spec.with_n(n))
+            assert drift_chain(row) == [member]
+            for h in (ONE, X, Polynomial.of(1, 2, 3)):
+                t = RationalFunction(h, sigma)
+                coeffs = drift_chain(row, as_weighted(t))
+                assert coeffs[0] == member
+                assert len(coeffs) == sum(step is DIFF for step in row[1]) + 1
+                assert all(isinstance(c, Polynomial) for c in coeffs)
+                assert sum(coeffs, ZERO) == drift_factor_chain(row, t)
 
     def test_operator_relation_drift_independent(self):
         for n in (2, 5, 9):
@@ -200,12 +228,15 @@ class TestRemainderTerm:
         assert observed and all(i.ok for i in observed)
 
     def test_observed_derivative_coefficient_law(self):
-        for n in (3, 4, 5):
+        # past the report's n = 8; the probes' cost grows steeply with n
+        for n in range(3, 13):
             gs = remainder_linear_coefficients(n)
             expected = X * X_SQ_MINUS_1 ** (n - 2) * Fraction(3 * n * n - 5 * n + 4, 2)
             assert gs[n - 2] == expected
 
     def test_observed_top_power_law(self):
         for n in (2, 3, 4):
-            for h in (ONE, X, Polynomial.of(0, 0, 1)):
+            for h in (ONE, Polynomial.of(0, 0, 1)):
                 assert remainder_expansion(n, h)[n] == h**n * (-1) ** (n - 1)
+        for n in range(2, 41):  # h = x alone this far, as the cost of an expansion grows steeply with n
+            assert remainder_expansion(n, X)[n] == X**n * (-1) ** (n - 1)
