@@ -75,28 +75,24 @@ def check_eq31(n_max: int) -> IdentityReport:
     """(x^2-1) D^n (x^2-1)^(n-1) = n(n-1) D^(n-2) (x^2-1)^(n-1), with both sides
     vanishing at x = +-1."""
     report = IdentityReport("eq31")
+    base = ONE
     for n in range(2, n_max + 1):
-        base = X_SQ_MINUS_1 ** (n - 1)
+        base = base * X_SQ_MINUS_1  # (x^2-1)^(n-1), one product per n
         lhs = X_SQ_MINUS_1 * nth_derivative(base, n)
         rhs = nth_derivative(base, n - 2) * (n * (n - 1))
         report.add({"n": str(n)}, lhs - rhs)
         for point in (1, -1):
-            report.add(
-                {"n": str(n), "boundary": str(point), "side": "left"},
-                Polynomial.constant(lhs(point)),
-            )
-            report.add(
-                {"n": str(n), "boundary": str(point), "side": "right"},
-                Polynomial.constant(rhs(point)),
-            )
+            for side, value in (("left", lhs(point)), ("right", rhs(point))):
+                report.add({"n": str(n), "boundary": str(point), "side": side}, Polynomial.constant(value))
     return report
 
 
 def check_remark_three_term(n_max: int) -> IdentityReport:
     """(x^2-1) D^(n-1) w - 2x D^(n-2) w = (n+1)(n-2) D^(n-3) w for w = (x^2-1)^(n-1)."""
     report = IdentityReport("remark3term")
+    base = X_SQ_MINUS_1
     for n in range(3, n_max + 1):
-        base = X_SQ_MINUS_1 ** (n - 1)
+        base = base * X_SQ_MINUS_1  # (x^2-1)^(n-1), one product per n
         lhs = X_SQ_MINUS_1 * nth_derivative(base, n - 1) - X * nth_derivative(base, n - 2) * 2
         rhs = nth_derivative(base, n - 3) * ((n + 1) * (n - 2))
         report.add({"n": str(n)}, lhs - rhs)
