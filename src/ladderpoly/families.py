@@ -38,6 +38,7 @@ from functools import lru_cache
 
 from .algebra import ONE, Polynomial, RationalFunction, X, _coerce_scalar, nth_derivative
 from .ladder import DIFF, LOWERING, RAISING, LadderOperator
+from .parsing import MAX_COEFFICIENT_BITS
 from .weighted import WeightedExpression, as_weighted
 
 X_SQ_MINUS_1 = Polynomial.of(-1, 0, 1)
@@ -75,6 +76,7 @@ def pochhammer(z: Fraction | int, k: int) -> Fraction:
 #: parameter -> (label, exact type, range test on (value, n), what a kind that
 #: needs it requires, what it is called where it is unexpected).  An int is
 #: accepted for a Fraction parameter; a bool, a float or any other type is not.
+#: A value's numerator and denominator are held to the parser's coefficient budget.
 _PARAMETERS = {
     "m": ("m", int, lambda m, n: 0 <= m <= n, "an order m with 0 <= m <= n", "order m"),
     "lam": ("lambda", Fraction, lambda lam, n: lam != 0, "a nonzero rational parameter", "lambda parameter"),
@@ -99,11 +101,13 @@ class FamilySpec:
             raise ValueError(f"unknown family kind: {self.kind!r}")
         if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 0:
             raise ValueError("index n must be a nonnegative integer")
-        for name, (_, exact, in_range, requires, called) in _PARAMETERS.items():
+        for name, (label, exact, in_range, requires, called) in _PARAMETERS.items():
             value = getattr(self, name)
             if name == _OPERATORS[self.kind][2]:
                 if not isinstance(value, (int, exact)) or isinstance(value, bool) or not in_range(value, self.n):
                     raise ValueError(f"{self.kind} requires {requires}")
+                if max(value.numerator.bit_length(), value.denominator.bit_length()) > MAX_COEFFICIENT_BITS:
+                    raise ValueError(f"{self.kind} requires {label} = p/q with p, q within {MAX_COEFFICIENT_BITS} bits")
                 object.__setattr__(self, name, exact(value))
             elif value is not None:
                 raise ValueError(f"{self.kind} takes no {called}")

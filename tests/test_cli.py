@@ -448,6 +448,25 @@ def test_factorize_help_and_negative_n_keep_their_meaning(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv,kind,label",
+    [
+        (("gen", "--family", "gegenbauer", "--lambda", "1e20000", "--n-max", "40"), "gegenbauer", "lambda"),
+        (("gen", "--family", "laguerre", "--alpha", "1e-30000", "--n-max", "30"), "laguerre", "alpha"),
+        (("factorize", "--family", "gegenbauer", "--n", "2", "--lambda", "1e5000", "--drift", "x"), "gegenbauer", "lambda"),
+    ],
+    ids=["gen-lambda", "gen-alpha", "factorize-lambda"],
+)
+def test_oversized_parameter_is_usage_error_at_once(argv, kind, label):
+    # before FamilySpec bounded a parameter's size, gen ran until killed and factorize
+    # failed on the interpreter's limit on integer string conversion
+    start = time.perf_counter()
+    done = run_process(*argv)
+    assert time.perf_counter() - start < 2
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"error: {kind} requires {label} = p/q with p, q within 4096 bits\n"
+
+
 @pytest.mark.parametrize("value", ["-1", "-3/2"])
 @pytest.mark.parametrize("command", [("gen", "--n-max", "2"), ("factorize", "--n", "2")], ids=["gen", "factorize"])
 def test_negative_alpha_out_of_range_keeps_its_message(capsys, command, value):

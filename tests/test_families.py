@@ -20,6 +20,7 @@ from ladderpoly.families import (
     rodrigues_standard,
 )
 from ladderpoly.ladder import LOWERING, RAISING
+from ladderpoly.parsing import MAX_COEFFICIENT_BITS
 from ladderpoly.weighted import as_weighted
 
 from helpers import resolve_legendre_lowering_offset
@@ -59,6 +60,24 @@ class TestFamilySpec:
     def test_inexact_parameters_rejected(self, kind, name, value):
         with pytest.raises(ValueError, match=f"^{kind} requires "):
             FamilySpec(kind, 2, **{name: value})
+
+    @pytest.mark.parametrize("kind,name,exact", [
+        ("gegenbauer", "lam", Fraction),
+        ("laguerre", "alpha", Fraction),
+        ("laguerre-radial", "alpha", Fraction),
+        ("coulomb-radial", "ell", int),
+    ])
+    def test_parameter_size_bound(self, kind, name, exact):
+        # numerator and denominator each within the parser's coefficient budget, 4096 bits
+        widest = 2**MAX_COEFFICIENT_BITS - 1
+        inside = [widest] + ([Fraction(1, widest), Fraction(widest, widest - 2)] if exact is Fraction else [])
+        outside = [widest + 1] + ([Fraction(1, widest + 1)] if exact is Fraction else [])
+        for value in inside:
+            assert getattr(FamilySpec(kind, 2, **{name: value}), name) == value
+        label = {"lam": "lambda"}.get(name, name)
+        for value in outside:
+            with pytest.raises(ValueError, match=f"^{kind} requires {label} = p/q with p, q within 4096 bits$"):
+                FamilySpec(kind, 2, **{name: value})
 
     def test_integer_parameters_become_fractions(self):
         assert type(FamilySpec("laguerre", 2, alpha=1).alpha) is Fraction
