@@ -248,9 +248,10 @@ def remainder_term(n: int, h: Polynomial) -> WeightedExpression:
 def remainder_expansion(n: int, h: Polynomial) -> list[Polynomial]:
     """Coefficients G_0..G_n of F[s*h] as a polynomial in the scale s.
 
-    e D e^(-1) = D - s t with t = h/(x^2-1), so F[s*h] is n! (P_n minus the
-    Legendre h0-chain read by ``drift_chain`` at t): n factors D - s t, each
-    raising the degree in s by one.  Every G_j is a polynomial; G_0 is zero.
+    The drift factor of s*h conjugates D to D - s t with t = h/(x^2-1), so
+    F[s*h] is n! (P_n minus the Legendre h0-chain read by ``drift_chain`` at
+    t); each of its n D steps raises the degree in s by one.  Every G_j is a
+    polynomial; G_0 is zero.
     """
     if n < 2:
         raise ValueError("the remainder term needs n >= 2")

@@ -458,8 +458,7 @@ def test_factorize_help_and_negative_n_keep_their_meaning(capsys):
     ids=["gen-lambda", "gen-alpha", "factorize-lambda"],
 )
 def test_oversized_parameter_is_usage_error_at_once(argv, kind, label):
-    # before FamilySpec bounded a parameter's size, gen ran until killed and factorize
-    # failed on the interpreter's limit on integer string conversion
+    # refused before any work, so an oversized parameter starts no long computation
     start = time.perf_counter()
     done = run_process(*argv)
     assert time.perf_counter() - start < 2
