@@ -13,12 +13,12 @@ functions have identical representations.
 Arithmetic runs on the ints and touches the content once per result.  A
 product multiplies the contents and convolves the ints, with no gcd: by
 Gauss's lemma a product of primitive polynomials is primitive.  A sum scales
-both operands to one content and takes one gcd.  Long division is
-fraction-free: the remainder is scaled by the divisor's leading entry over
-its gcd with the term being cancelled, and only when that factor is not 1.
-``poly_gcd`` runs Euclid on primitive parts, the primitive polynomial
-remainder sequence (Knuth, TAOCP vol. 2, 4.6.1; Brown and Traub 1971).
-Evaluation at p/q runs Horner's rule on the ints and builds one ``Fraction``.
+both operands to one content and takes one gcd.  One fraction-free kernel on
+the ints, ``_divide``, serves divmod, gcd and cancellation; it scales the
+remainder by lead / gcd(term, lead) only when that is not 1.  ``poly_gcd``
+runs Euclid on primitive int remainders, the primitive remainder sequence
+(Knuth, TAOCP vol. 2, 4.6.1; Brown and Traub 1971).  Evaluation at p/q
+runs Horner's rule on the ints and builds one ``Fraction``.
 
 ``RationalFunction`` arithmetic on reduced operands cancels only what can
 cancel, the gcd-saving rules for fractions over a Euclidean domain (Henrici,
@@ -33,8 +33,8 @@ further gcd:
   characteristic 0, and negation needs no gcd.
 
 Every cancellation, the public constructor's included, goes through
-``_cancel``, which skips Euclid when either side is constant: a nonzero
-constant has no factor of positive degree.
+``_cancel``.  It skips Euclid when either side is constant, and otherwise
+divides both sides by the gcd exactly, which by Gauss's lemma never scales.
 
 The module also provides partial-fraction decomposition and symbolic
 integration for rational functions whose denominators split into distinct
@@ -53,6 +53,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
@@ -81,7 +82,7 @@ def _coerce_scalar(value: Scalar) -> Fraction:
     raise TypeError(f"not an exact scalar: {value!r}")
 
 
-def _primitive(content: Fraction, ints: list[int]) -> tuple[Fraction, tuple[int, ...]]:
+def _primitive(content: Scalar, ints: list[int]) -> tuple[Scalar, tuple[int, ...]]:
     """content * ints in canonical form: no trailing zeros, primitive ints, positive lead."""
     end = len(ints)
     while end and not ints[end - 1]:
@@ -95,6 +96,33 @@ def _primitive(content: Fraction, ints: list[int]) -> tuple[Fraction, tuple[int,
     if g == 1:
         return content, tuple(ints)
     return content * g, tuple(c // g for c in ints)
+
+
+def _divide(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, list[int], list[int]]:
+    """Fraction-free long division of int tuples, b primitive with a positive leading entry.
+
+    Before a step whose leading term c the leading entry of b does not
+    divide, the remainder and the quotient so far are scaled by
+    lead / gcd(c, lead); ``scale`` collects those factors, so that
+    scale * a == quotient * b + remainder, and it is 1 when b divides a.
+    """
+    top, lead = len(b) - 1, b[-1]
+    remainder = list(a)
+    quotient = [0] * (len(a) - top)
+    scale = 1
+    for k in reversed(range(len(quotient))):
+        c = remainder[k + top]
+        if c:
+            g = math.gcd(c, lead)
+            if g != lead:
+                m = lead // g
+                scale *= m
+                remainder[: k + top] = [r * m for r in remainder[: k + top]]
+                quotient[k + 1 :] = [q * m for q in quotient[k + 1 :]]
+            q = quotient[k] = c // g
+            for j in range(top):
+                remainder[k + j] -= q * b[j]
+    return scale, quotient, remainder[:top]
 
 
 _NIL = Fraction(0)
@@ -212,12 +240,12 @@ class Polynomial:
         return Polynomial._raw(-self.content, self.ints)
 
     def __mul__(self, other: Polynomial | Scalar) -> Polynomial:
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Polynomial:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             if not other or not self.ints:
                 return ZERO
             return Polynomial._raw(self.content * other, self.ints)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
         a, b = self.ints, other.ints
         if not a or not b:
             return ZERO
@@ -252,39 +280,13 @@ class Polynomial:
         return result
 
     def __divmod__(self, other: Polynomial) -> tuple[Polynomial, Polynomial]:
-        """Fraction-free long division of the ints.
-
-        Before a step whose leading term c the divisor's leading entry does
-        not divide, the remainder and the quotient so far are scaled by
-        lead / gcd(c, lead); ``scale`` collects those factors, so that
-        scale * self.ints == quotient * other.ints + remainder throughout.
-        """
+        """Long division by the kernel ``_divide``, with the contents put back."""
         other = _as_poly(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        divisor, top = other.ints, other.degree
-        if self.degree < top:
-            return ZERO, self
-        lead = divisor[-1]
-        remainder = list(self.ints)
-        quotient = [0] * (self.degree - top + 1)
-        scale = 1
-        for k in reversed(range(len(quotient))):
-            c = remainder[k + top]
-            if c:
-                g = math.gcd(c, lead)
-                if g != lead:
-                    m = lead // g
-                    scale *= m
-                    remainder[: k + top] = [r * m for r in remainder[: k + top]]
-                    quotient[k + 1 :] = [q * m for q in quotient[k + 1 :]]
-                q = quotient[k] = c // g
-                for j in range(top):
-                    remainder[k + j] -= q * divisor[j]
-        content = self.content if scale == 1 else self.content / scale
-        d = other.content
-        quotient_content = content if d == 1 else content / d
-        return Polynomial._make(quotient_content, quotient), Polynomial._make(content, remainder[:top])
+        scale, quotient, remainder = _divide(self.ints, other.ints)
+        content = self.content / scale
+        return Polynomial._make(content / other.content, quotient), Polynomial._make(content, remainder)
 
     def __floordiv__(self, other: Polynomial) -> Polynomial:
         return divmod(self, other)[0]
@@ -354,28 +356,30 @@ def linear(root: Scalar) -> Polynomial:
 
 def nth_derivative(p: Polynomial, order: int) -> Polynomial:
     """The order-th derivative of p, in one pass: c_k x^k contributes k!/(k-order)! c_k x^(k-order)."""
-    return Polynomial._make(p.content, [math.perm(k, order) * c for k, c in enumerate(p.ints)][order:])
+    perms = accumulate(range(order + 1, len(p.ints)), lambda f, k: f * k // (k - order), initial=math.factorial(order))
+    return Polynomial._make(p.content, [f * c for f, c in zip(perms, p.ints[order:])])
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic greatest common divisor by Euclid on primitive parts (primitive PRS).
+    """Monic greatest common divisor by Euclid on primitive ints (primitive PRS).
 
-    Each remainder is already primitive; dropping its content keeps the
-    scale factors of the fraction-free divisions from piling up in it.
+    Making each remainder primitive keeps the scale factors of ``_divide``
+    from piling up; no Polynomial or Fraction is built until the result.
     """
-    while not b.is_zero:
-        r = a % b
-        a, b = b, Polynomial._raw(_UNIT, r.ints) if r.ints else ZERO
-    return a.monic()
+    a, b = a.ints, b.ints
+    while b:
+        a, b = b, _primitive(1, _divide(a, b)[2])[1]
+    return Polynomial._raw(Fraction(1, a[-1]), a) if a else ZERO
 
 
-def _cancel(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """a and b divided by their monic gcd; a constant has no common factor, so no gcd is taken."""
+def _cancel(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
+    """(a/g, b/g, g) for the monic gcd g, exact on the ints by Gauss's lemma; a constant side takes no gcd."""
+    g = ONE
     if a.degree > 0 and b.degree > 0:
         g = poly_gcd(a, b)
         if g.degree > 0:
-            return a // g, b // g
-    return a, b
+            a, b = (Polynomial._raw(p.content * g.ints[-1], tuple(_divide(p.ints, g.ints)[1])) for p in (a, b))
+    return a, b, g
 
 
 @dataclass(frozen=True)
@@ -393,7 +397,7 @@ class RationalFunction:
         if num.is_zero:
             num, den = ZERO, ONE
         else:
-            num, den = _cancel(num, den)
+            num, den, _ = _cancel(num, den)
             monic = den.monic()
             if monic.content != den.content:
                 num, den = num * (monic.content / den.content), monic
@@ -422,15 +426,11 @@ class RationalFunction:
         if other is NotImplemented:
             return NotImplemented
         a, b, c, d = self.num, self.den, other.num, other.den
-        d1 = ONE
-        if b.degree > 0 and d.degree > 0:
-            d1 = b if b == d else poly_gcd(b, d)
-            if d1.degree > 0:
-                b, d = b // d1, d // d1
+        b, d, d1 = (ONE, ONE, b) if b == d else _cancel(b, d)
         t = a * d + c * b
         if not t.ints:
             return _ZERO_RF
-        t, d1 = _cancel(t, d1)
+        t, d1, _ = _cancel(t, d1)
         return RationalFunction._reduced(t, b * d1 * d)
 
     __radd__ = __add__
@@ -450,10 +450,12 @@ class RationalFunction:
     def _times(self, c: Polynomial, d: Polynomial) -> RationalFunction:
         """self * c/d for c, d coprime and d monic: only gcd(num, d) and gcd(c, den) can cancel."""
         a, b = self.num, self.den
+        if c == ONE == d:
+            return self
         if not a.ints or not c.ints:
             return _ZERO_RF
-        a, d = _cancel(a, d)
-        c, b = _cancel(c, b)
+        a, d, _ = _cancel(a, d)
+        c, b, _ = _cancel(c, b)
         return RationalFunction._reduced(a * c, b * d)
 
     def __mul__(self, other: RationalFunction | Polynomial | Scalar) -> RationalFunction:
@@ -481,7 +483,7 @@ class RationalFunction:
         a, b = self.num, self.den
         if b.degree <= 0:
             return RationalFunction._reduced(a.diff(), ONE)
-        b1, db = _cancel(b, b.diff())
+        b1, db, _ = _cancel(b, b.diff())
         return RationalFunction._reduced(a.diff() * b1 - a * db, b * b1)
 
     def to_text(self, var: str = "x") -> str:
@@ -550,8 +552,7 @@ def _root_candidates(p: Polynomial) -> list[Fraction]:
     q^k > 2|l*a_0|, the symmetric residue of l*r, divided by l, is the only
     rational root that r can be (Loos, SIAM J. Comput. 12, 1983).
     """
-    common = poly_gcd(p, p.diff())
-    g = p // common if common.degree > 0 else p
+    g = _cancel(p, p.diff())[0]
     ints = g.ints
     slopes = [k * c for k, c in enumerate(ints)][1:]
     lead = ints[-1]

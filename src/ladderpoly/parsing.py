@@ -25,6 +25,7 @@ build a polynomial of unbounded size.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .algebra import MAX_EXPONENT, Polynomial, RationalFunction, X, as_rational_function
@@ -178,11 +179,14 @@ class _Parser:
 
 
 def _bits(value: RationalFunction) -> int:
-    """The largest bit length of any numerator or denominator among the coefficients."""
-    return max(
-        (max(c.numerator.bit_length(), c.denominator.bit_length()) for c in value.num.coeffs + value.den.coeffs),
-        default=0,
-    )
+    """The largest bit length of any numerator or denominator among the coefficients c*p/q, reduced by gcd(c, q)."""
+    bits = 0
+    for poly in (value.num, value.den):
+        p, q = poly.content.as_integer_ratio()
+        for c in poly.ints:
+            g = math.gcd(c, q)
+            bits = max(bits, (c * p // g).bit_length(), (q // g).bit_length())
+    return bits
 
 
 def _ratfn_pow(value: RationalFunction, exponent: int) -> RationalFunction:

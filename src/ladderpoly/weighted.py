@@ -11,14 +11,14 @@ exactly.  A scalar, polynomial or rational function enters the class through
 
 Canonical form:
   * power exponents keep only their fractional part in (0, 1), so two equal
-    members are structurally identical.  The constructor folds in one pass:
-    it merges each root's exponents, splits each sum with divmod(e, 1) and
-    multiplies all integer parts into one numerator and one denominator, so
-    it builds at most one RationalFunction.  Integer parts totalling more
-    than algebra.MAX_EXPONENT raise ValueError before anything is built.
-    Sums, negations and derivatives keep their operand's weight, which is
-    canonical already, and skip the fold; so does a product with a
-    weight-free factor (zero included), which keeps the other factor's cell;
+    members are structurally identical.  ``_fold`` merges each root's
+    exponents, splits each sum with divmod(e, 1) and multiplies the integer
+    parts into one numerator and one denominator; more than
+    algebra.MAX_EXPONENT of them raise ValueError before anything is built.
+    Sums, negations and derivatives keep their operand's canonical cell.  The
+    fold of a product or quotient and a cell's log-derivative depend on the
+    cells alone, which repeat (testers share an operator's cells), so each is
+    kept in an lru_cache of 512 entries; an error is raised anew every time;
   * the constant term of the exponential argument is dropped (a factor
     exp(const) is not rational, and every comparison downstream is made up to
     a nonzero scalar anyway);
@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple, Union
 
 from .algebra import (
@@ -84,27 +85,10 @@ class WeightedExpression:
         coeff = as_rational_function(self.coeff)
         if not isinstance(self.exp_arg, Polynomial):
             raise TypeError("exp_arg must be a Polynomial")
-        merged: dict[Fraction, Fraction] = {}
-        for root, exponent in self.powers:
-            root = _coerce_scalar(root)
-            merged[root] = merged.get(root, 0) + _coerce_scalar(exponent)
-        arg = self.exp_arg
-        if coeff.is_zero:
-            merged, arg = {}, ZERO
-        splits = [(root, *divmod(merged[root], 1)) for root in sorted(merged)]
-        total = sum(abs(whole) for _, whole, _ in splits)
-        if total > MAX_EXPONENT:
-            raise ValueError(f"weight of integer degree {total} exceeds the limit {MAX_EXPONENT}")
-        if total:
-            # The integer parts form a coprime pair of monic products, so only
-            # the product rule's two gcds with the coefficient can cancel.
-            num = math.prod((linear(root) ** whole for root, whole, _ in splits if whole > 0), start=ONE)
-            den = math.prod((linear(root) ** -whole for root, whole, _ in splits if whole < 0), start=ONE)
-            coeff = coeff._times(num, den)
-        if arg.ints and arg.ints[0]:
-            arg = arg - arg.coefficient(0)
-        object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "powers", tuple(PowerFactor(root, frac) for root, _, frac in splits if frac))
+        powers = tuple((_coerce_scalar(root), _coerce_scalar(exponent)) for root, exponent in self.powers)
+        num, den, powers, arg = _fold(powers, self.exp_arg) if not coeff.is_zero else (ONE, ONE, (), ZERO)
+        object.__setattr__(self, "coeff", coeff._times(num, den))
+        object.__setattr__(self, "powers", powers)
         object.__setattr__(self, "exp_arg", arg)
 
     # -- constructors -------------------------------------------------------
@@ -128,16 +112,6 @@ class WeightedExpression:
         """The (powers, exp_arg) pair two members must share to be addable."""
         return (self.powers, self.exp_arg)
 
-    def _in_cell(self, coeff: RationalFunction) -> WeightedExpression:
-        """coeff times this member's weight, which is canonical already: nothing to fold."""
-        if coeff.is_zero:
-            return _ZERO
-        out = object.__new__(WeightedExpression)
-        object.__setattr__(out, "coeff", coeff)
-        object.__setattr__(out, "powers", self.powers)
-        object.__setattr__(out, "exp_arg", self.exp_arg)
-        return out
-
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: Coercible) -> WeightedExpression:
@@ -150,7 +124,7 @@ class WeightedExpression:
             return self
         if self.weight_cell() != other.weight_cell():
             raise WeightStructureError("add", self, other)
-        return self._in_cell(self.coeff + other.coeff)
+        return _in_cell(self.coeff + other.coeff, *self.weight_cell())
 
     __radd__ = __add__
 
@@ -168,20 +142,14 @@ class WeightedExpression:
         return NotImplemented if other is NotImplemented else other - self
 
     def __neg__(self) -> WeightedExpression:
-        return self._in_cell(-self.coeff)
+        return _in_cell(-self.coeff, *self.weight_cell())
 
     def __mul__(self, other: Coercible) -> WeightedExpression:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        for kept, plain in ((self, other), (other, self)):
-            if not plain.powers and plain.exp_arg.is_zero:  # zero included
-                return kept._in_cell(self.coeff * other.coeff)
-        return WeightedExpression(
-            self.coeff * other.coeff,
-            self.powers + other.powers,
-            self.exp_arg + other.exp_arg,
-        )
+        num, den, powers, arg = _fold(self.powers + other.powers, self.exp_arg + other.exp_arg)
+        return _in_cell((self.coeff * other.coeff)._times(num, den), powers, arg)
 
     __rmul__ = __mul__
 
@@ -191,14 +159,9 @@ class WeightedExpression:
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("division by the zero weighted expression")
-        if self.is_zero:
-            return _ZERO
         inverted = tuple((root, -exponent) for root, exponent in other.powers)
-        return WeightedExpression(
-            self.coeff / other.coeff,
-            self.powers + inverted,
-            self.exp_arg - other.exp_arg,
-        )
+        num, den, powers, arg = _fold(self.powers + inverted, self.exp_arg - other.exp_arg)
+        return _in_cell((self.coeff / other.coeff)._times(num, den), powers, arg)
 
     def __rtruediv__(self, other: Coercible) -> WeightedExpression:
         other = _coerce(other)
@@ -206,37 +169,23 @@ class WeightedExpression:
 
     # -- calculus -----------------------------------------------------------
 
-    def _weight_log_derivative(self) -> RationalFunction:
-        """p' + sum e/(x - r) over the denominator prod (x - r).
-
-        The roots are distinct and each e is nonzero, so the numerator is
-        nonzero at every root and the pair is already reduced.
-        """
-        factors = [linear(pf.root) for pf in self.powers]
-        common = math.prod(factors, start=ONE)
-        num = self.exp_arg.diff() * common
-        for i, pf in enumerate(self.powers):
-            num = num + math.prod(factors[:i] + factors[i + 1 :], start=ONE) * pf.exponent
-        return RationalFunction._reduced(num, common)
-
     def diff(self) -> WeightedExpression:
         """Exact derivative; the class is closed so the result is canonical."""
-        if self.is_zero:
-            return self
-        return self._in_cell(self.coeff.diff() + self.coeff * self._weight_log_derivative())
+        cell = self.weight_cell()
+        return _in_cell(self.coeff.diff() + self.coeff * _weight_log_derivative(*cell), *cell)
 
     def log_derivative(self) -> RationalFunction:
         """(d/dx self)/self, always rational for this class."""
         if self.is_zero:
             raise ZeroDivisionError("log derivative of the zero expression")
-        return self.coeff.diff() / self.coeff + self._weight_log_derivative()
+        return self.coeff.diff() / self.coeff + _weight_log_derivative(*self.weight_cell())
 
     # -- extraction and comparison ------------------------------------------
 
     def as_polynomial(self) -> Polynomial:
         """The coefficient polynomial, once every weight has cancelled."""
         if self.powers or not self.exp_arg.is_zero or not self.coeff.is_polynomial:
-            survivor = self._in_cell(RationalFunction._reduced(ONE, self.coeff.den))
+            survivor = _in_cell(RationalFunction._reduced(ONE, self.coeff.den), *self.weight_cell())
             raise NotPolynomialError(f"not a polynomial; surviving {survivor}")
         return self.coeff.num
 
@@ -277,6 +226,49 @@ class WeightedExpression:
 
 
 _ZERO = WeightedExpression(RationalFunction(ZERO))  # frozen, so one shared instance serves every zero result
+
+
+def _in_cell(coeff: RationalFunction, powers: tuple[PowerFactor, ...], exp_arg: Polynomial) -> WeightedExpression:
+    """coeff times the weight of a canonical cell (powers, exp_arg): nothing to fold."""
+    if coeff.is_zero:
+        return _ZERO
+    out = object.__new__(WeightedExpression)
+    object.__setattr__(out, "coeff", coeff)
+    object.__setattr__(out, "powers", powers)
+    object.__setattr__(out, "exp_arg", exp_arg)
+    return out
+
+
+@lru_cache(maxsize=512)
+def _fold(powers: tuple, arg: Polynomial) -> tuple[Polynomial, Polynomial, tuple[PowerFactor, ...], Polynomial]:
+    """The integer parts num/den, a coprime pair of monic products, and the cell of prod (x - root)^e * exp(arg)."""
+    merged: dict[Fraction, Fraction] = {}
+    for root, exponent in powers:
+        merged[root] = merged.get(root, 0) + exponent
+    splits = [(root, *divmod(merged[root], 1)) for root in sorted(merged)]
+    total = sum(abs(whole) for _, whole, _ in splits)
+    if total > MAX_EXPONENT:
+        raise ValueError(f"weight of integer degree {total} exceeds the limit {MAX_EXPONENT}")
+    num = math.prod((linear(root) ** whole for root, whole, _ in splits if whole > 0), start=ONE)
+    den = math.prod((linear(root) ** -whole for root, whole, _ in splits if whole < 0), start=ONE)
+    if arg.ints and arg.ints[0]:
+        arg = arg - arg.coefficient(0)
+    return num, den, tuple(PowerFactor(root, frac) for root, _, frac in splits if frac), arg
+
+
+@lru_cache(maxsize=512)
+def _weight_log_derivative(powers: tuple[PowerFactor, ...], exp_arg: Polynomial) -> RationalFunction:
+    """p' + sum e/(x - r) over the denominator prod (x - r), for the cell (powers, exp_arg = p).
+
+    The roots are distinct and each e is nonzero, so the numerator is
+    nonzero at every root and the pair is already reduced.
+    """
+    factors = [linear(pf.root) for pf in powers]
+    common = math.prod(factors, start=ONE)
+    num = exp_arg.diff() * common
+    for i, pf in enumerate(powers):
+        num = num + math.prod(factors[:i] + factors[i + 1 :], start=ONE) * pf.exponent
+    return RationalFunction._reduced(num, common)
 
 
 def _coerce(value: Coercible) -> WeightedExpression:

@@ -1,8 +1,9 @@
 """Check helpers shared by the test modules; the library itself never calls them."""
 
 import math
+from fractions import Fraction
 
-from ladderpoly.algebra import PartialFractions, Polynomial, RationalFunction, as_rational_function, linear
+from ladderpoly.algebra import ONE, ZERO, PartialFractions, Polynomial, RationalFunction, as_rational_function, linear
 from ladderpoly.families import FamilySpec, make_operator, oracle_recurrence
 from ladderpoly.ladder import LOWERING, RAISING, apply_chain, factorize
 from ladderpoly.verify import random_drifts, representative_operators, standard_testers
@@ -19,6 +20,27 @@ def recombined(parts: PartialFractions) -> RationalFunction:
     for root, residue in parts.terms:
         total = total + RationalFunction(Polynomial.constant(residue), linear(root))
     return total
+
+
+def reference_poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Monic gcd by Euclid on primitive parts, one ``Polynomial`` remainder a step.
+
+    Each remainder is already primitive; dropping its content keeps the
+    scale factors of the fraction-free divisions from piling up in it.
+    """
+    while not b.is_zero:
+        r = a % b
+        a, b = b, Polynomial._raw(Fraction(1), r.ints) if r.ints else ZERO
+    return a.monic()
+
+
+def reference_cancel(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
+    """(a/g, b/g, g) for the monic gcd g, by ``reference_poly_gcd`` and floor division."""
+    if a.degree > 0 and b.degree > 0:
+        g = reference_poly_gcd(a, b)
+        if g.degree > 0:
+            return a // g, b // g, g
+    return a, b, ONE
 
 
 def resolve_legendre_lowering_offset(n_max: int = 8) -> int:

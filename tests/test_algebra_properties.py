@@ -14,6 +14,8 @@ from ladderpoly.algebra import (  # noqa: E402
     ZERO,
     Polynomial,
     RationalFunction,
+    _cancel,
+    _divide,
     linear,
     nth_derivative,
     partial_fractions,
@@ -21,7 +23,7 @@ from ladderpoly.algebra import (  # noqa: E402
     rational_roots,
 )
 
-from helpers import recombined  # noqa: E402
+from helpers import recombined, reference_cancel, reference_poly_gcd  # noqa: E402
 
 scalars = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
 polys = st.lists(scalars, max_size=9).map(lambda cs: Polynomial(tuple(cs)))
@@ -381,3 +383,67 @@ def test_arithmetic_matches_normalizing_constructor(a, b, k):
     assert fields(a - a) == fields(RationalFunction(ZERO))
     assert fields(a * k) == fields(RationalFunction(a.num * k, a.den))
     assert fields(a + b.num) == fields(RationalFunction(a.num + b.num * a.den, a.den))
+
+
+# -- the int division kernel and what it serves, against the Polynomial-level Euclid --
+
+int_tuples = st.lists(st.integers(-(2**70), 2**70), max_size=8).map(tuple)
+#: Nonempty, primitive, positive leading entry: the ints of a nonzero Polynomial.
+divisor_ints = st.lists(st.integers(-(2**70), 2**70), max_size=5).flatmap(
+    lambda low: st.integers(1, 2**70).map(lambda lead: Polynomial(tuple(low) + (lead,)).ints)
+)
+
+
+def int_product(a, b) -> list[int]:
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def int_sum(a, b) -> list[int]:
+    width = max(len(a), len(b))
+    return [x + y for x, y in zip(list(a) + [0] * (width - len(a)), list(b) + [0] * (width - len(b)))]
+
+
+def trimmed(ints) -> list[int]:
+    ints = list(ints)
+    while ints and not ints[-1]:
+        ints.pop()
+    return ints
+
+
+@bounded
+@given(int_tuples, divisor_ints)
+def test_divide_invariant(a, b):
+    scale, quotient, remainder = _divide(a, b)
+    assert scale > 0
+    assert trimmed([scale * c for c in a]) == trimmed(int_sum(int_product(quotient, b), remainder))
+    assert len(trimmed(remainder)) < len(b)
+
+
+@bounded
+@given(int_tuples, divisor_ints)
+def test_divide_does_not_scale_when_the_divisor_divides(q, b):
+    scale, quotient, remainder = _divide(tuple(int_product(q, b)), b)
+    assert scale == 1
+    assert trimmed(quotient) == trimmed(q)
+    assert not any(remainder)
+
+
+#: Products of (q*x - p) factors and irreducible quadratics times a content, zero and constants included.
+gcd_operands = st.builds(factored, contents | st.just(Fraction(0)), factor_lists)
+
+
+def fields_of(p: Polynomial) -> tuple:
+    return (p.content, p.ints)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gcd_operands, gcd_operands, factor_lists)
+def test_gcd_and_cancel_match_the_polynomial_euclid(a, b, shared):
+    a, b = factored(Fraction(1), shared) * a, factored(Fraction(1), shared) * b
+    assert fields_of(poly_gcd(a, b)) == fields_of(reference_poly_gcd(a, b))
+    assert [fields_of(p) for p in _cancel(a, b)] == [fields_of(p) for p in reference_cancel(a, b)]
+    assert poly_gcd(a, ONE) == ONE and poly_gcd(ZERO, b) == reference_poly_gcd(ZERO, b)

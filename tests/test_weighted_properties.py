@@ -8,6 +8,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from ladderpoly import weighted as weighted_module  # noqa: E402
 from ladderpoly.algebra import ONE, Polynomial, RationalFunction, ZERO, linear  # noqa: E402
 from ladderpoly.weighted import PowerFactor, WeightedExpression  # noqa: E402
 
@@ -86,15 +87,40 @@ def fields(w: WeightedExpression) -> tuple:
     return (c.num.content, c.num.ints, c.den.content, c.den.ints, w.powers, w.exp_arg.content, w.exp_arg.ints)
 
 
-def rebuilt_diff(w: WeightedExpression) -> WeightedExpression:
-    """(c * prod (x - r)^e * exp(p))' with c'/c + p' + sum e/(x - r) over one unreduced denominator."""
+def unreduced_log_derivative(w: WeightedExpression) -> tuple[Polynomial, Polynomial]:
+    """(num, common) with c'/c + p' + sum e/(x - r) = num / (c.num * c.den * common), common = prod (x - r)."""
     c, factors = w.coeff, [linear(pf.root) for pf in w.powers]
     common = math.prod(factors, start=ONE)
     log_num = w.exp_arg.diff() * common
     for i, pf in enumerate(w.powers):
         log_num = log_num + math.prod(factors[:i] + factors[i + 1 :], start=ONE) * pf.exponent
-    num = (c.num.diff() * c.den - c.num * c.den.diff()) * common + c.num * c.den * log_num
-    return WeightedExpression(RationalFunction(num, c.den * c.den * common), w.powers, w.exp_arg)
+    return (c.num.diff() * c.den - c.num * c.den.diff()) * common + c.num * c.den * log_num, common
+
+
+def rebuilt_diff(w: WeightedExpression) -> WeightedExpression:
+    """(c * prod (x - r)^e * exp(p))' with c'/c + p' + sum e/(x - r) over one unreduced denominator."""
+    num, common = unreduced_log_derivative(w)
+    return WeightedExpression(RationalFunction(num, w.coeff.den * w.coeff.den * common), w.powers, w.exp_arg)
+
+
+def rebuilt_log_derivative(w: WeightedExpression) -> RationalFunction:
+    num, common = unreduced_log_derivative(w)
+    return RationalFunction(num, w.coeff.num * w.coeff.den * common)
+
+
+#: The per-cell memos of the weighted module.
+MEMOS = (weighted_module._fold, weighted_module._weight_log_derivative)
+
+
+def cold_and_warm(op):
+    """op() with every memo cleared, then op() again with the memos it filled."""
+    for memo in MEMOS:
+        memo.cache_clear()
+    cold = op()
+    hits = sum(memo.cache_info().hits for memo in MEMOS)
+    warm = op()
+    assert sum(memo.cache_info().hits for memo in MEMOS) > hits
+    return cold, warm
 
 
 #: Coefficients of the weight-free operand: zero or a sharing coefficient.
@@ -108,6 +134,15 @@ def test_results_match_constructor_rebuilds(w, v, other_coeff, plain_coeff):
     assert fields(w.diff()) == fields(rebuilt_diff(w))
     product = WeightedExpression(RationalFunction(a.num * b.num, a.den * b.den), w.powers + v.powers, w.exp_arg + v.exp_arg)
     assert fields(w * v) == fields(product)
+    inverted = tuple((root, -exponent) for root, exponent in v.powers)
+    quotient = WeightedExpression(
+        RationalFunction(a.num * b.den, a.den * b.num), w.powers + inverted, w.exp_arg - v.exp_arg
+    )
+    # each memoized result, with the memos cleared and then warm, against its rebuild
+    assert cold_and_warm(lambda: fields(w * v)) == (fields(product),) * 2
+    assert cold_and_warm(lambda: fields(w / v)) == (fields(quotient),) * 2
+    assert cold_and_warm(lambda: fields(w.diff())) == (fields(rebuilt_diff(w)),) * 2
+    assert cold_and_warm(w.log_derivative) == (rebuilt_log_derivative(w),) * 2
     plain = WeightedExpression(plain_coeff)  # weight-free, and zero in some examples
     d = plain.coeff
     scaled = WeightedExpression(RationalFunction(a.num * d.num, a.den * d.den), w.powers, w.exp_arg)
@@ -124,3 +159,26 @@ def test_results_match_constructor_rebuilds(w, v, other_coeff, plain_coeff):
     for same_cell in (u, (w + u) - u):
         assert (w == same_cell) == (w - same_cell).is_zero
     assert (w + u) - u == w
+
+
+def test_memos_are_bounded():
+    for memo in MEMOS:
+        maxsize = memo.cache_info().maxsize
+        assert type(maxsize) is int and maxsize > 0
+
+
+def test_over_limit_error_is_raised_on_every_call():
+    """Errors are not cached: a repeated call raises again and leaves no entry."""
+    half = Fraction(1, 2)
+    spread = WeightedExpression(RationalFunction(ONE), tuple((root, half) for root in range(513)))
+    calls = (
+        lambda: WeightedExpression(RationalFunction(ONE), ((0, 513),)),
+        lambda: spread * spread,
+        lambda: spread / WeightedExpression(RationalFunction(ONE), tuple((root, -half) for root in range(513))),
+    )
+    for call in calls:
+        weighted_module._fold.cache_clear()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="weight of integer degree 513 exceeds the limit 512"):
+                call()
+        assert weighted_module._fold.cache_info().currsize == 0
