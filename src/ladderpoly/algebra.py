@@ -254,9 +254,9 @@ class Polynomial:
         # A constant's ints are (1,), and by Gauss's lemma the product of
         # primitive polynomials is primitive.
         if len(a) == 1:
-            return Polynomial._raw(content, b)
+            return other if content is d else Polynomial._raw(content, b)
         if len(b) == 1:
-            return Polynomial._raw(content, a)
+            return self if content is c else Polynomial._raw(content, a)
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
@@ -450,7 +450,7 @@ class RationalFunction:
     def _times(self, c: Polynomial, d: Polynomial) -> RationalFunction:
         """self * c/d for c, d coprime and d monic: only gcd(num, d) and gcd(c, den) can cancel."""
         a, b = self.num, self.den
-        if c == ONE == d:
+        if c is ONE and d is ONE:
             return self
         if not a.ints or not c.ints:
             return _ZERO_RF

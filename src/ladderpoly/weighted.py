@@ -148,6 +148,9 @@ class WeightedExpression:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        for kept, plain in ((self, other), (other, self)):
+            if not plain.powers and plain.exp_arg.is_zero:  # zero included
+                return _in_cell(self.coeff * other.coeff, *kept.weight_cell())
         num, den, powers, arg = _fold(self.powers + other.powers, self.exp_arg + other.exp_arg)
         return _in_cell((self.coeff * other.coeff)._times(num, den), powers, arg)
 
