@@ -15,10 +15,10 @@ Canonical form:
     exponents, splits each sum with divmod(e, 1) and multiplies the integer
     parts into one numerator and one denominator; more than
     algebra.MAX_EXPONENT of them raise ValueError before anything is built.
-    Sums, negations and derivatives keep their operand's canonical cell.  The
-    fold of a product or quotient and a cell's log-derivative depend on the
-    cells alone, which repeat (testers share an operator's cells), so each is
-    kept in an lru_cache of 512 entries; an error is raised anew every time;
+    Sums, negations, derivatives and products with a weight-free factor keep
+    a canonical cell.  The fold of other products and of quotients, and a
+    cell's log-derivative, depend on the cells alone, which repeat (testers
+    share an operator's cells): each sits in an lru_cache of 512 entries;
   * the constant term of the exponential argument is dropped (a factor
     exp(const) is not rational, and every comparison downstream is made up to
     a nonzero scalar anyway);
