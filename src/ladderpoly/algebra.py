@@ -1,24 +1,26 @@
 """Exact univariate polynomial and rational-function arithmetic over the rationals.
 
-Scalars are ``fractions.Fraction`` throughout: arbitrary precision, always
-reduced, positive denominator.  A polynomial is stored as one rational content
-times a dense tuple of Python ``int``s indexed by degree, as FLINT's
-``fmpq_poly`` is.  The ints are primitive (their gcd is 1), have a positive
-leading entry and no trailing zeros; the zero polynomial is content 0 with no
-ints.  The pair is canonical, so equality and hashing compare it, and
-``coeffs`` builds the ``Fraction`` coefficients only when asked.  A rational
-function keeps its denominator monic and coprime to the numerator, so equal
-functions have identical representations.
+Scalars taken and returned are ``int`` or ``fractions.Fraction``.  A
+polynomial is stored as a content times a dense tuple of Python ``int``s
+indexed by degree, as FLINT's ``fmpq_poly`` is.  The content is a reduced int
+pair, a numerator and a positive denominator; the ints are primitive (their
+gcd is 1), have a positive leading entry and no trailing zeros; the zero
+polynomial is (0, 1, ()).  The fields are canonical, so equality and hashing
+compare ints, and ``content``, ``coeffs`` and printing build a ``Fraction``
+or a string only when asked.  A rational function keeps its denominator monic
+and coprime to the numerator, so equal functions have identical
+representations.
 
-Arithmetic runs on the ints and touches the content once per result.  A
-product multiplies the contents and convolves the ints, with no gcd: by
-Gauss's lemma a product of primitive polynomials is primitive.  A sum scales
-both operands to one content and takes one gcd.  One fraction-free kernel on
-the ints, ``_divide``, serves divmod, gcd and cancellation; it scales the
-remainder by lead / gcd(term, lead) only when that is not 1.  ``poly_gcd``
-runs Euclid on primitive int remainders, the primitive remainder sequence
-(Knuth, TAOCP vol. 2, 4.6.1; Brown and Traub 1971).  Evaluation at p/q
-runs Horner's rule on the ints and builds one ``Fraction``.
+Arithmetic builds no ``Fraction``: it touches the content pair once per result
+through ``_ratio_mul``, a product of reduced ratios by two cross gcds.  A
+product multiplies the contents and convolves the ints, with no gcd on the
+ints: by Gauss's lemma a product of primitive polynomials is primitive.  A
+sum scales both operands to one content and takes one gcd.  One fraction-free
+kernel on the ints, ``_divide``, serves divmod, gcd and cancellation; it
+scales the remainder by lead / gcd(term, lead) only when that is not 1.
+``poly_gcd`` runs Euclid on primitive int remainders, the primitive remainder
+sequence (Knuth, TAOCP vol. 2, 4.6.1; Brown and Traub 1971).  Evaluation at
+p/q runs Horner's rule on the ints and builds one ``Fraction``.
 
 ``RationalFunction`` arithmetic on reduced operands cancels only what can
 cancel, the gcd-saving rules for fractions over a Euclidean domain (Henrici,
@@ -75,27 +77,37 @@ class IrreducibleFactorError(DecompositionError):
 
 
 def _coerce_scalar(value: Scalar) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
+    return value if isinstance(value, Fraction) else Fraction(*_ratio(value))
+
+
+def _ratio(value: Scalar) -> tuple[int, int]:
+    """The reduced numerator and positive denominator of an exact scalar."""
+    if isinstance(value, (int, Fraction)):
+        return value.numerator, value.denominator
     raise TypeError(f"not an exact scalar: {value!r}")
 
 
-def _primitive(content: Scalar, ints: list[int]) -> tuple[Scalar, tuple[int, ...]]:
-    """content * ints in canonical form: no trailing zeros, primitive ints, positive lead."""
+def _ratio_mul(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """(a/b)(c/d) over a positive denominator, for a/b and c/d in lowest terms, b > 0: two cross gcds reduce it."""
+    g, h = math.gcd(a, d), math.gcd(c, b)
+    num, den = (a // g) * (c // h), (b // h) * (d // g)
+    return (num, den) if den > 0 else (-num, -den)
+
+
+def _primitive(num: int, den: int, ints: list[int]) -> tuple[int, int, tuple[int, ...]]:
+    """(num/den) * ints in canonical form: no trailing zeros, primitive ints, positive lead."""
     end = len(ints)
     while end and not ints[end - 1]:
         end -= 1
     if not end:
-        return _NIL, ()
+        return 0, 1, ()
     ints = ints[:end]
     g = math.gcd(*ints)
     if ints[-1] < 0:
         g = -g
     if g == 1:
-        return content, tuple(ints)
-    return content * g, tuple(c // g for c in ints)
+        return num, den, tuple(ints)
+    return *_ratio_mul(num, den, g, 1), tuple(c // g for c in ints)
 
 
 def _divide(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, list[int], list[int]]:
@@ -125,40 +137,36 @@ def _divide(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, list[int], lis
     return scale, quotient, remainder[:top]
 
 
-_NIL = Fraction(0)
-_UNIT = Fraction(1)
-
-
 @dataclass(frozen=True, init=False)
 class Polynomial:
-    """Dense univariate polynomial ``content * sum(ints[k] * x**k)``.
+    """Dense univariate polynomial ``(content_num / content_den) * sum(ints[k] * x**k)``.
 
-    ``ints`` is primitive with a positive leading entry, so the pair is
-    canonical; ``coeffs[k]`` is the degree-k coefficient as a ``Fraction``.
+    The content is a reduced int pair with a positive denominator, and
+    ``ints`` is primitive with a positive leading entry, so the three fields
+    are canonical; ``content`` and ``coeffs[k]`` build ``Fraction``s on request.
     """
 
-    content: Fraction
+    content_num: int
+    content_den: int
     ints: tuple[int, ...]
 
     def __init__(self, coeffs: Iterable[Scalar] = ()) -> None:
-        coeffs = [_coerce_scalar(c) for c in coeffs]
-        den = math.lcm(*(c.denominator for c in coeffs))
-        content, ints = _primitive(Fraction(1, den), [c.numerator * (den // c.denominator) for c in coeffs])
-        object.__setattr__(self, "content", content)
-        object.__setattr__(self, "ints", ints)
+        pairs = [_ratio(c) for c in coeffs]
+        den = math.lcm(*(d for _, d in pairs))
+        num, den, ints = _primitive(1, den, [n * (den // d) for n, d in pairs])
+        self.__dict__.update(content_num=num, content_den=den, ints=ints)
 
     @classmethod
-    def _raw(cls, content: Fraction, ints: tuple[int, ...]) -> Polynomial:
-        """Wrap a pair already in canonical form, skipping every check."""
+    def _raw(cls, num: int, den: int, ints: tuple[int, ...]) -> Polynomial:
+        """Wrap fields already in canonical form, skipping every check and the frozen ``__setattr__``."""
         poly = object.__new__(cls)
-        object.__setattr__(poly, "content", content)
-        object.__setattr__(poly, "ints", ints)
+        poly.__dict__.update(content_num=num, content_den=den, ints=ints)
         return poly
 
     @classmethod
-    def _make(cls, content: Fraction, ints: list[int]) -> Polynomial:
-        """content * ints, brought to canonical form."""
-        return cls._raw(*_primitive(content, ints))
+    def _make(cls, num: int, den: int, ints: list[int]) -> Polynomial:
+        """(num/den) * ints, brought to canonical form."""
+        return cls._raw(*_primitive(num, den, ints))
 
     @classmethod
     def of(cls, *coeffs: Scalar) -> Polynomial:
@@ -176,9 +184,12 @@ class Polynomial:
         return cls((0,) * degree + (coeff,))
 
     @property
+    def content(self) -> Fraction:
+        return Fraction(self.content_num, self.content_den)
+
+    @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        content = self.content
-        return tuple(content * c for c in self.ints)
+        return tuple(self.coefficient(k) for k in range(len(self.ints)))
 
     @property
     def degree(self) -> int:
@@ -193,12 +204,18 @@ class Polynomial:
     def leading(self) -> Fraction:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.content * self.ints[-1]
+        return self.coefficient(self.degree)
 
     def coefficient(self, degree: int) -> Fraction:
         if 0 <= degree < len(self.ints):
-            return self.content * self.ints[degree]
-        return _NIL
+            return Fraction(self.content_num * self.ints[degree], self.content_den)
+        return Fraction(0)
+
+    def _scaled(self, num: int, den: int) -> Polynomial:
+        """self * (num/den), for num/den in lowest terms."""
+        if not num or not self.ints:
+            return ZERO
+        return Polynomial._raw(*_ratio_mul(self.content_num, self.content_den, num, den), self.ints)
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -213,8 +230,7 @@ class Polynomial:
             return other
         # self + other = content * (sa * self.ints + sb * other.ints), where
         # content is the gcd of the two contents.
-        na, da = self.content.numerator, self.content.denominator
-        nb, db = other.content.numerator, other.content.denominator
+        na, da, nb, db = self.content_num, self.content_den, other.content_num, other.content_den
         gn, gd = math.gcd(na, nb), math.gcd(da, db)
         sa, sb = na // gn * (db // gd), nb // gn * (da // gd)
         a, b = self.ints, other.ints
@@ -223,7 +239,7 @@ class Polynomial:
         merged = [sa * c for c in a]
         for i, c in enumerate(b):
             merged[i] += sb * c
-        return Polynomial._make(Fraction(gn, da // gd * db), merged)
+        return Polynomial._make(gn, da // gd * db, merged)
 
     __radd__ = __add__
 
@@ -237,41 +253,34 @@ class Polynomial:
         return -(self - other)
 
     def __neg__(self) -> Polynomial:
-        return Polynomial._raw(-self.content, self.ints)
+        return Polynomial._raw(-self.content_num, self.content_den, self.ints)
 
     def __mul__(self, other: Polynomial | Scalar) -> Polynomial:
         if type(other) is not Polynomial:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
-            if not other or not self.ints:
-                return ZERO
-            return Polynomial._raw(self.content * other, self.ints)
+            return self._scaled(other.numerator, other.denominator)
         a, b = self.ints, other.ints
         if not a or not b:
             return ZERO
-        c, d = self.content, other.content
-        content = d if c == 1 else c if d == 1 else c * d
+        num, den = _ratio_mul(self.content_num, self.content_den, other.content_num, other.content_den)
         # A constant's ints are (1,), and by Gauss's lemma the product of
         # primitive polynomials is primitive.
-        if len(a) == 1:
-            return other if content is d else Polynomial._raw(content, b)
-        if len(b) == 1:
-            return self if content is c else Polynomial._raw(content, a)
+        if len(a) == 1 or len(b) == 1:
+            return Polynomial._raw(num, den, a if len(b) == 1 else b)
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
                     out[i + j] += x * y
-        return Polynomial._raw(content, tuple(out))
+        return Polynomial._raw(num, den, tuple(out))
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> Polynomial:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial exponent must be a nonnegative integer")
-        result = ONE
-        base = self
-        e = exponent
+        result, base, e = ONE, self, exponent
         while e:
             if e & 1:
                 result = result * base
@@ -285,8 +294,9 @@ class Polynomial:
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         scale, quotient, remainder = _divide(self.ints, other.ints)
-        content = self.content / scale
-        return Polynomial._make(content / other.content, quotient), Polynomial._make(content, remainder)
+        num, den = _ratio_mul(self.content_num, self.content_den, 1, scale)
+        quotient_content = _ratio_mul(num, den, other.content_den, other.content_num)
+        return Polynomial._make(*quotient_content, quotient), Polynomial._make(num, den, remainder)
 
     def __floordiv__(self, other: Polynomial) -> Polynomial:
         return divmod(self, other)[0]
@@ -296,34 +306,32 @@ class Polynomial:
 
     def __call__(self, point: Scalar) -> Fraction:
         """Evaluate by Horner's rule on the ints, homogenized at point = p/q."""
-        x = _coerce_scalar(point)
-        p, q = x.numerator, x.denominator
+        p, q = _ratio(point)
         acc, q_power = 0, 1
         for c in reversed(self.ints):
             acc = acc * p + c * q_power
             q_power *= q
         # acc is the value times q**degree, and q_power is q**(degree + 1).
-        return Fraction(self.content.numerator * acc * q, self.content.denominator * q_power)
+        return Fraction(self.content_num * acc * q, self.content_den * q_power)
 
     def diff(self) -> Polynomial:
-        return Polynomial._make(self.content, [k * c for k, c in enumerate(self.ints)][1:])
+        return Polynomial._make(self.content_num, self.content_den, [k * c for k, c in enumerate(self.ints)][1:])
 
     def integral(self) -> Polynomial:
         """Antiderivative with integration constant fixed to zero."""
         den = math.lcm(*range(1, len(self.ints) + 1))
-        return Polynomial._make(self.content / den, [0] + [c * (den // k) for k, c in enumerate(self.ints, 1)])
+        scaled = [0] + [c * (den // k) for k, c in enumerate(self.ints, 1)]
+        return Polynomial._make(*_ratio_mul(self.content_num, self.content_den, 1, den), scaled)
 
     def compose(self, inner: Polynomial) -> Polynomial:
         """Substitution self(inner(x)), exact."""
         acc = ZERO
         for c in reversed(self.ints):
             acc = acc * inner + c
-        return acc * self.content
+        return acc._scaled(self.content_num, self.content_den)
 
     def monic(self) -> Polynomial:
-        if self.is_zero:
-            return self
-        return Polynomial._raw(Fraction(1, self.ints[-1]), self.ints)
+        return Polynomial._raw(1, self.ints[-1], self.ints) if self.ints else self
 
     def to_text(self, var: str = "x") -> str:
         return _render_poly(self, var, latex=False)
@@ -335,29 +343,29 @@ class Polynomial:
         return self.to_text()
 
 
-ZERO = Polynomial._raw(_NIL, ())
-ONE = Polynomial._raw(_UNIT, (1,))
-X = Polynomial._raw(_UNIT, (0, 1))
+ZERO = Polynomial._raw(0, 1, ())
+ONE = Polynomial._raw(1, 1, (1,))
+X = Polynomial._raw(1, 1, (0, 1))
 
 
 def _as_poly(value: Polynomial | Scalar) -> Polynomial:
     if isinstance(value, Polynomial):
         return value
     if isinstance(value, (int, Fraction)):
-        return Polynomial._raw(_coerce_scalar(value), (1,)) if value else ZERO
+        return Polynomial._raw(value.numerator, value.denominator, (1,)) if value else ZERO
     return NotImplemented
 
 
 def linear(root: Scalar) -> Polynomial:
     """The monic factor (x - root)."""
-    root = _coerce_scalar(root)
-    return Polynomial._raw(Fraction(1, root.denominator), (-root.numerator, root.denominator))
+    p, q = _ratio(root)
+    return Polynomial._raw(1, q, (-p, q))
 
 
 def nth_derivative(p: Polynomial, order: int) -> Polynomial:
     """The order-th derivative of p, in one pass: c_k x^k contributes k!/(k-order)! c_k x^(k-order)."""
     perms = accumulate(range(order + 1, len(p.ints)), lambda f, k: f * k // (k - order), initial=math.factorial(order))
-    return Polynomial._make(p.content, [f * c for f, c in zip(perms, p.ints[order:])])
+    return Polynomial._make(p.content_num, p.content_den, [f * c for f, c in zip(perms, p.ints[order:])])
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -368,8 +376,8 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """
     a, b = a.ints, b.ints
     while b:
-        a, b = b, _primitive(1, _divide(a, b)[2])[1]
-    return Polynomial._raw(Fraction(1, a[-1]), a) if a else ZERO
+        a, b = b, _primitive(1, 1, _divide(a, b)[2])[2]
+    return Polynomial._raw(1, a[-1], a) if a else ZERO
 
 
 def _cancel(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
@@ -378,8 +386,18 @@ def _cancel(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, Polyn
     if a.degree > 0 and b.degree > 0:
         g = poly_gcd(a, b)
         if g.degree > 0:
-            a, b = (Polynomial._raw(p.content * g.ints[-1], tuple(_divide(p.ints, g.ints)[1])) for p in (a, b))
+            lead = g.ints[-1]
+            a, b = (
+                Polynomial._raw(*_ratio_mul(p.content_num, p.content_den, lead, 1), tuple(_divide(p.ints, g.ints)[1]))
+                for p in (a, b)
+            )
     return a, b, g
+
+
+def _over_monic(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """(a / lead, b / lead) for b's leading coefficient lead: the quotient a/b over a monic denominator."""
+    num, den = _ratio_mul(b.content_num, b.content_den, b.ints[-1], 1)
+    return a._scaled(den, num), b.monic()
 
 
 @dataclass(frozen=True)
@@ -390,26 +408,23 @@ class RationalFunction:
     den: Polynomial = ONE
 
     def __post_init__(self) -> None:
-        num = _as_poly(self.num)
-        den = _as_poly(self.den)
+        num, den = _as_poly(self.num), _as_poly(self.den)
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero:
             num, den = ZERO, ONE
         else:
             num, den, _ = _cancel(num, den)
-            monic = den.monic()
-            if monic.content != den.content:
-                num, den = num * (monic.content / den.content), monic
+            if (den.content_num, den.content_den) != (1, den.ints[-1]):
+                num, den = _over_monic(num, den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
     @classmethod
     def _reduced(cls, num: Polynomial, den: Polynomial) -> RationalFunction:
-        """Wrap num/den, already coprime with den monic, skipping every check."""
+        """Wrap num/den, already coprime with den monic, skipping every check and the frozen ``__setattr__``."""
         out = object.__new__(cls)
-        object.__setattr__(out, "num", num)
-        object.__setattr__(out, "den", den)
+        out.__dict__.update(num=num, den=den)
         return out
 
     @property
@@ -472,8 +487,7 @@ class RationalFunction:
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("division by zero rational function")
-        scale = 1 / other.num.leading
-        return self._times(other.den * scale, other.num * scale)
+        return self._times(*_over_monic(other.den, other.num))
 
     def __rtruediv__(self, other: RationalFunction | Polynomial | Scalar) -> RationalFunction:
         return _as_ratfn(other) / self
@@ -588,11 +602,11 @@ def rational_roots(p: Polynomial) -> tuple[list[Fraction], Polynomial]:
     while zeros < p.degree and not p.ints[zeros]:
         zeros += 1
     roots = [Fraction(0)] * zeros
-    current = Polynomial._raw(p.content, p.ints[zeros:])
+    current = Polynomial._raw(p.content_num, p.content_den, p.ints[zeros:])
     if current.degree == 1:
         a0, a1 = current.ints
         roots.append(Fraction(-a0, a1))
-        current = Polynomial._raw(current.content * a1, (1,))
+        current = Polynomial._raw(*_ratio_mul(current.content_num, current.content_den, a1, 1), (1,))
     elif current.degree > 1:
         for root in _root_candidates(current):
             quotient, remainder = divmod(current, linear(root))
@@ -630,38 +644,27 @@ def partial_fractions(r: RationalFunction) -> PartialFractions:
     return PartialFractions(quotient, terms)
 
 
-def _fmt_coeff(c: Fraction, latex: bool) -> str:
-    if latex and c.denominator != 1:
-        sign = "-" if c < 0 else ""
-        return f"{sign}\\frac{{{abs(c.numerator)}}}{{{c.denominator}}}"
-    return str(c)
+def _coeff_texts(p: Polynomial, latex: bool = False) -> list[str]:
+    """Each coefficient of p in ascending degree as ``str(Fraction)`` prints it, or in LaTeX; one gcd each."""
+    texts = []
+    for c in p.ints:
+        g = math.gcd(c, p.content_den)
+        num, den = p.content_num * c // g, p.content_den // g
+        if den == 1:
+            texts.append(str(num))
+        else:
+            texts.append(f"{'-' * (num < 0)}\\frac{{{abs(num)}}}{{{den}}}" if latex else f"{num}/{den}")
+    return texts
 
 
 def _render_poly(p: Polynomial, var: str, latex: bool) -> str:
-    if p.is_zero:
-        return "0"
     parts: list[str] = []
+    texts = _coeff_texts(p, latex)
     for k in range(p.degree, -1, -1):
-        c = p.coefficient(k)
-        if c == 0:
+        if not p.ints[k]:
             continue
-        if k == 0:
-            body = _fmt_coeff(abs(c), latex)
-        else:
-            if k == 1:
-                power = var
-            elif latex:
-                power = f"{var}^{k}" if k < 10 else f"{var}^{{{k}}}"
-            else:
-                power = f"{var}^{k}"
-            if abs(c) == 1:
-                body = power
-            elif latex:
-                body = f"{_fmt_coeff(abs(c), latex)}{power}"
-            else:
-                body = f"{_fmt_coeff(abs(c), latex)}*{power}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+        sign, magnitude = ("-", texts[k][1:]) if texts[k][0] == "-" else ("+", texts[k])
+        power = var if k == 1 else f"{var}^{{{k}}}" if latex and k > 9 else f"{var}^{k}"
+        body = magnitude if k == 0 else power if magnitude == "1" else f"{magnitude}{'' if latex else '*'}{power}"
+        parts.append(f"{sign} {body}" if parts else body if sign == "+" else f"-{body}")
+    return " ".join(parts) or "0"

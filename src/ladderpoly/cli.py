@@ -17,7 +17,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .algebra import Polynomial
+from .algebra import _coeff_texts
 from .families import FamilySpec, KINDS, generate_assoc_legendre, generate_ladder, make_operator
 from .ladder import LOWERING, OutOfClassError, RAISING, factorize, rational_part, verify_factorization
 from .parsing import ParseError, parse_expression
@@ -103,15 +103,11 @@ def _family_spec(args, n: int) -> FamilySpec:
     return FamilySpec(_resolve_kind(args.family), n, alpha=args.alpha, lam=args.lam, m=args.m, ell=args.ell)
 
 
-def _coeff_strings(p: Polynomial) -> list[str]:
-    return [str(c) for c in p.coeffs]
-
-
 def _weighted_json(w: WeightedExpression) -> dict:
     return {
-        "coeff": {"num": _coeff_strings(w.coeff.num), "den": _coeff_strings(w.coeff.den)},
+        "coeff": {"num": _coeff_texts(w.coeff.num), "den": _coeff_texts(w.coeff.den)},
         "powers": [[str(pf.root), str(pf.exponent)] for pf in w.powers],
-        "expArg": _coeff_strings(w.exp_arg),
+        "expArg": _coeff_texts(w.exp_arg),
     }
 
 
@@ -135,7 +131,7 @@ def _render_gen(args, spec: FamilySpec, members: list[tuple[int, WeightedExpress
     if any(member.powers for _, member in members):
         raise ValueError(f"{args.format} output cannot carry the weight of these {spec.kind} members; use --format json")
     if args.format == "csv":
-        return "\n".join(",".join([str(n)] + _coeff_strings(member.coeff.num)) for n, member in members)
+        return "\n".join(",".join([str(n)] + _coeff_texts(member.coeff.num)) for n, member in members)
     return "\n".join(f"{spec.symbol % n}({spec.var}) = {member.coeff.num.to_latex(spec.var)}" for n, member in members)
 
 

@@ -182,7 +182,7 @@ def _bits(value: RationalFunction) -> int:
     """The largest bit length of any numerator or denominator among the coefficients c*p/q, reduced by gcd(c, q)."""
     bits = 0
     for poly in (value.num, value.den):
-        p, q = poly.content.as_integer_ratio()
+        p, q = poly.content_num, poly.content_den
         for c in poly.ints:
             g = math.gcd(c, q)
             bits = max(bits, (c * p // g).bit_length(), (q // g).bit_length())

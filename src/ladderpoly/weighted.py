@@ -236,9 +236,7 @@ def _in_cell(coeff: RationalFunction, powers: tuple[PowerFactor, ...], exp_arg: 
     if coeff.is_zero:
         return _ZERO
     out = object.__new__(WeightedExpression)
-    object.__setattr__(out, "coeff", coeff)
-    object.__setattr__(out, "powers", powers)
-    object.__setattr__(out, "exp_arg", exp_arg)
+    out.__dict__.update(coeff=coeff, powers=powers, exp_arg=exp_arg)  # frozen: past __setattr__
     return out
 
 

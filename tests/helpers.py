@@ -1,9 +1,8 @@
 """Check helpers shared by the test modules; the library itself never calls them."""
 
 import math
-from fractions import Fraction
 
-from ladderpoly.algebra import ONE, ZERO, PartialFractions, Polynomial, RationalFunction, as_rational_function, linear
+from ladderpoly.algebra import ONE, PartialFractions, Polynomial, RationalFunction, as_rational_function, linear
 from ladderpoly.families import FamilySpec, make_operator, oracle_recurrence
 from ladderpoly.ladder import LOWERING, RAISING, apply_chain, factorize
 from ladderpoly.verify import random_drifts, representative_operators, standard_testers
@@ -22,6 +21,22 @@ def recombined(parts: PartialFractions) -> RationalFunction:
     return total
 
 
+def canonical_fields(p: Polynomial) -> tuple[int, int, tuple[int, ...]]:
+    """p's (content_num, content_den, ints), once each is checked to be in canonical form.
+
+    The content is a reduced int pair over a positive denominator, the ints
+    are primitive with a positive leading entry, and zero is (0, 1, ()).
+    """
+    num, den, ints = p.content_num, p.content_den, p.ints
+    assert type(num) is int and type(den) is int and type(ints) is tuple
+    assert den > 0 and math.gcd(num, den) == 1
+    if ints:
+        assert num != 0 and ints[-1] > 0 and math.gcd(*ints) == 1
+    else:
+        assert (num, den) == (0, 1)
+    return num, den, ints
+
+
 def reference_poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic gcd by Euclid on primitive parts, one ``Polynomial`` remainder a step.
 
@@ -30,7 +45,7 @@ def reference_poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """
     while not b.is_zero:
         r = a % b
-        a, b = b, Polynomial._raw(Fraction(1), r.ints) if r.ints else ZERO
+        a, b = b, Polynomial(r.ints)
     return a.monic()
 
 

@@ -12,6 +12,7 @@ from ladderpoly.algebra import (
     RepeatedPoleError,
     X,
     ZERO,
+    _cancel,
     linear,
     partial_fractions,
     poly_gcd,
@@ -74,7 +75,7 @@ class TestPolynomial:
         assert X_SQ_MINUS_1(2) == 3
         assert X_SQ_MINUS_1(Fraction(1, 2)) == Fraction(-3, 4)
 
-    @pytest.mark.parametrize("name", ["coeffs", "content", "ints", "degree", "unrelated"])
+    @pytest.mark.parametrize("name", ["coeffs", "content", "content_num", "content_den", "ints", "degree", "unrelated"])
     def test_immutable(self, name):
         p = Polynomial.of(1, 2, 3)
         with pytest.raises(AttributeError):
@@ -148,6 +149,31 @@ class TestRationalFunction:
         monkeypatch.setattr(algebra, "poly_gcd", no_gcd)
         assert p.degree == 60
         assert [rf(num, den) for num, den in pairs] == expected
+
+
+def test_arithmetic_builds_no_fraction(monkeypatch):
+    """Contents stay int pairs: sums, products, divisions, calculus, gcds and cancellation construct no Fraction."""
+    a = Polynomial.of(Fraction(5, 6), Fraction(-1, 4), Fraction(7, 9)) * (X - Fraction(2, 3))
+    b = Polynomial.of(Fraction(-3, 10), Fraction(9, 14)) * (X - Fraction(2, 3))
+    c = Polynomial.of(Fraction(4, 15), 0, Fraction(-8, 21))
+    r, s = RationalFunction(a, c), RationalFunction(c * Fraction(3, 7), b)
+    third = Fraction(1, 3)
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    results = [a + b, a - c, a * b, a * third, b * -4, *divmod(a, b), *divmod(c, b), a.diff(), a.integral()]
+    results += [poly_gcd(a, b), *_cancel(a, b), *_cancel(c * b, b * a)]
+    results += [r + s, r - r, r._times(s.num, s.den), r * s, r.diff(), s.diff()]
+    assert built == []
+    monkeypatch.undo()
+    assert results[5] * b + results[6] == a and results[7] * b + results[8] == c
+    assert results[11] == X - Fraction(2, 3) and r * s == RationalFunction(a * c * Fraction(3, 7), c * b)
+    assert (r + s) * (c * b) == RationalFunction(a * b + c * c * Fraction(3, 7))
 
 
 class TestRationalRoots:

@@ -12,6 +12,8 @@ from ladderpoly import weighted as weighted_module  # noqa: E402
 from ladderpoly.algebra import ONE, Polynomial, RationalFunction, ZERO, linear  # noqa: E402
 from ladderpoly.weighted import PowerFactor, WeightedExpression  # noqa: E402
 
+from helpers import canonical_fields  # noqa: E402
+
 bounded = settings(max_examples=60, deadline=None)
 
 scalars = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
@@ -84,7 +86,7 @@ sharing_weighted = st.builds(WeightedExpression, sharing_coefficients, powers, s
 
 def fields(w: WeightedExpression) -> tuple:
     c = w.coeff
-    return (c.num.content, c.num.ints, c.den.content, c.den.ints, w.powers, w.exp_arg.content, w.exp_arg.ints)
+    return (*canonical_fields(c.num), *canonical_fields(c.den), w.powers, *canonical_fields(w.exp_arg))
 
 
 def unreduced_log_derivative(w: WeightedExpression) -> tuple[Polynomial, Polynomial]:
