@@ -1,15 +1,14 @@
 """Exact univariate polynomial and rational-function arithmetic over the rationals.
 
-Scalars taken and returned are ``int`` or ``fractions.Fraction``.  A
-polynomial is stored as a content times a dense tuple of Python ``int``s
-indexed by degree, as FLINT's ``fmpq_poly`` is.  The content is a reduced int
-pair, a numerator and a positive denominator; the ints are primitive (their
-gcd is 1), have a positive leading entry and no trailing zeros; the zero
-polynomial is (0, 1, ()).  The fields are canonical, so equality and hashing
-compare ints, and ``content``, ``coeffs`` and printing build a ``Fraction``
-or a string only when asked.  A rational function keeps its denominator monic
-and coprime to the numerator, so equal functions have identical
-representations.
+Scalars taken and returned are ``int`` or ``fractions.Fraction``.  A polynomial
+is stored as a content times a dense tuple of Python ``int``s indexed by degree,
+as FLINT's ``fmpq_poly`` is.  The content is a reduced int pair over a positive
+denominator; the ints are primitive (their gcd is 1), have a positive leading
+entry and no trailing zeros; zero is (0, 1, ()).  The fields are canonical, so
+equality and hashing compare ints, and ``content``, ``coeffs`` and printing
+build a ``Fraction`` or a string only when asked.  A rational function keeps
+its denominator monic and coprime to the numerator, so equal functions have
+identical representations.
 
 Arithmetic builds no ``Fraction``: it touches the content pair once per result
 through ``_ratio_mul``, a product of reduced ratios by two cross gcds.  A
@@ -56,7 +55,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 Scalar = Union[int, Fraction]
 
@@ -189,7 +188,7 @@ class Polynomial:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return tuple(self.coefficient(k) for k in range(len(self.ints)))
+        return tuple(Fraction(num, den) for num, den in _coeff_ratios(self))
 
     @property
     def degree(self) -> int:
@@ -280,7 +279,9 @@ class Polynomial:
     def __pow__(self, exponent: int) -> Polynomial:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial exponent must be a nonnegative integer")
-        result, base, e = ONE, self, exponent
+        result = ONE
+        base = self
+        e = exponent
         while e:
             if e & 1:
                 result = result * base
@@ -331,7 +332,9 @@ class Polynomial:
         return acc._scaled(self.content_num, self.content_den)
 
     def monic(self) -> Polynomial:
-        return Polynomial._raw(1, self.ints[-1], self.ints) if self.ints else self
+        if self.is_zero:
+            return self
+        return Polynomial._raw(1, self.ints[-1], self.ints)
 
     def to_text(self, var: str = "x") -> str:
         return _render_poly(self, var, latex=False)
@@ -408,7 +411,8 @@ class RationalFunction:
     den: Polynomial = ONE
 
     def __post_init__(self) -> None:
-        num, den = _as_poly(self.num), _as_poly(self.den)
+        num = _as_poly(self.num)
+        den = _as_poly(self.den)
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero:
@@ -644,12 +648,17 @@ def partial_fractions(r: RationalFunction) -> PartialFractions:
     return PartialFractions(quotient, terms)
 
 
-def _coeff_texts(p: Polynomial, latex: bool = False) -> list[str]:
-    """Each coefficient of p in ascending degree as ``str(Fraction)`` prints it, or in LaTeX; one gcd each."""
-    texts = []
+def _coeff_ratios(p: Polynomial) -> Iterator[tuple[int, int]]:
+    """Each coefficient of p in ascending degree as a reduced numerator and positive denominator, one gcd each."""
     for c in p.ints:
         g = math.gcd(c, p.content_den)
-        num, den = p.content_num * c // g, p.content_den // g
+        yield p.content_num * c // g, p.content_den // g
+
+
+def _coeff_texts(p: Polynomial, latex: bool = False) -> list[str]:
+    """Each coefficient of p in ascending degree as ``str(Fraction)`` prints it, or in LaTeX."""
+    texts = []
+    for num, den in _coeff_ratios(p):
         if den == 1:
             texts.append(str(num))
         else:

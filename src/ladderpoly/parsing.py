@@ -25,10 +25,9 @@ build a polynomial of unbounded size.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
-from .algebra import MAX_EXPONENT, Polynomial, RationalFunction, X, as_rational_function
+from .algebra import MAX_EXPONENT, Polynomial, RationalFunction, X, _coeff_ratios, as_rational_function
 
 MAX_COEFFICIENT_BITS = 4096
 MAX_NESTING = 100
@@ -179,14 +178,9 @@ class _Parser:
 
 
 def _bits(value: RationalFunction) -> int:
-    """The largest bit length of any numerator or denominator among the coefficients c*p/q, reduced by gcd(c, q)."""
-    bits = 0
-    for poly in (value.num, value.den):
-        p, q = poly.content_num, poly.content_den
-        for c in poly.ints:
-            g = math.gcd(c, q)
-            bits = max(bits, (c * p // g).bit_length(), (q // g).bit_length())
-    return bits
+    """The largest bit length of any numerator or denominator among the reduced coefficients."""
+    pairs = (pair for poly in (value.num, value.den) for pair in _coeff_ratios(poly))
+    return max((max(p.bit_length(), q.bit_length()) for p, q in pairs), default=0)
 
 
 def _ratfn_pow(value: RationalFunction, exponent: int) -> RationalFunction:
