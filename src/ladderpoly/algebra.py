@@ -10,16 +10,15 @@ build a ``Fraction`` or a string only when asked.  A rational function keeps
 its denominator monic and coprime to the numerator, so equal functions have
 identical representations.
 
-Arithmetic builds no ``Fraction``: it touches the content pair once per result
-through ``_ratio_mul``, a product of reduced ratios by two cross gcds.  A
-product multiplies the contents and convolves the ints, with no gcd on the
-ints: by Gauss's lemma a product of primitive polynomials is primitive.  A
-sum scales both operands to one content and takes one gcd.  One fraction-free
-kernel on the ints, ``_divide``, serves divmod, gcd and cancellation; it
-scales the remainder by lead / gcd(term, lead) only when that is not 1.
-``poly_gcd`` runs Euclid on primitive int remainders, the primitive remainder
-sequence (Knuth, TAOCP vol. 2, 4.6.1; Brown and Traub 1971).  Evaluation at
-p/q runs Horner's rule on the ints and builds one ``Fraction``.
+Arithmetic builds no ``Fraction``: each result touches the content pair once,
+through ``_ratio_mul`` (two cross gcds).  A product multiplies the contents and
+convolves the ints, with no gcd on the ints: by Gauss's lemma a product of
+primitive polynomials is primitive.  A sum scales both operands to one content
+and takes one gcd.  One fraction-free kernel on the ints, ``_divide``, serves
+divmod, gcd and cancellation; it scales the remainder by lead / gcd(term, lead)
+only when that is not 1.  ``poly_gcd`` runs Euclid on primitive int remainders,
+the primitive remainder sequence (Knuth, TAOCP vol. 2, 4.6.1; Brown and Traub
+1971).  Evaluation at p/q runs Horner's rule and builds one ``Fraction``.
 
 ``RationalFunction`` arithmetic on reduced operands cancels only what can
 cancel, the gcd-saving rules for fractions over a Euclidean domain (Henrici,
@@ -87,7 +86,7 @@ def _ratio(value: Scalar) -> tuple[int, int]:
 
 
 def _ratio_mul(a: int, b: int, c: int, d: int) -> tuple[int, int]:
-    """(a/b)(c/d) over a positive denominator, for a/b and c/d in lowest terms, b > 0: two cross gcds reduce it."""
+    """(a/b)(c/d) reduced over a positive denominator, for coprime pairs with b > 0 and d != 0: two cross gcds."""
     g, h = math.gcd(a, d), math.gcd(c, b)
     num, den = (a // g) * (c // h), (b // h) * (d // g)
     return (num, den) if den > 0 else (-num, -den)
@@ -149,17 +148,18 @@ class Polynomial:
     content_den: int
     ints: tuple[int, ...]
 
-    def __init__(self, coeffs: Iterable[Scalar] = ()) -> None:
+    def __new__(cls, coeffs: Iterable[Scalar] = ()) -> Polynomial:
         pairs = [_ratio(c) for c in coeffs]
         den = math.lcm(*(d for _, d in pairs))
-        num, den, ints = _primitive(1, den, [n * (den // d) for n, d in pairs])
-        self.__dict__.update(content_num=num, content_den=den, ints=ints)
+        return cls._make(1, den, [n * (den // d) for n, d in pairs])
 
     @classmethod
     def _raw(cls, num: int, den: int, ints: tuple[int, ...]) -> Polynomial:
-        """Wrap fields already in canonical form, skipping every check and the frozen ``__setattr__``."""
+        """Wrap fields already in canonical form, skipping every check."""
         poly = object.__new__(cls)
-        poly.__dict__.update(content_num=num, content_den=den, ints=ints)
+        object.__setattr__(poly, "content_num", num)
+        object.__setattr__(poly, "content_den", den)
+        object.__setattr__(poly, "ints", ints)
         return poly
 
     @classmethod
@@ -211,7 +211,7 @@ class Polynomial:
         return Fraction(0)
 
     def _scaled(self, num: int, den: int) -> Polynomial:
-        """self * (num/den), for num/den in lowest terms."""
+        """self * (num/den), for num and den coprime and den nonzero."""
         if not num or not self.ints:
             return ZERO
         return Polynomial._raw(*_ratio_mul(self.content_num, self.content_den, num, den), self.ints)
@@ -426,9 +426,10 @@ class RationalFunction:
 
     @classmethod
     def _reduced(cls, num: Polynomial, den: Polynomial) -> RationalFunction:
-        """Wrap num/den, already coprime with den monic, skipping every check and the frozen ``__setattr__``."""
+        """Wrap num/den, already coprime with den monic, skipping every check."""
         out = object.__new__(cls)
-        out.__dict__.update(num=num, den=den)
+        object.__setattr__(out, "num", num)
+        object.__setattr__(out, "den", den)
         return out
 
     @property
@@ -657,13 +658,10 @@ def _coeff_ratios(p: Polynomial) -> Iterator[tuple[int, int]]:
 
 def _coeff_texts(p: Polynomial, latex: bool = False) -> list[str]:
     """Each coefficient of p in ascending degree as ``str(Fraction)`` prints it, or in LaTeX."""
-    texts = []
-    for num, den in _coeff_ratios(p):
-        if den == 1:
-            texts.append(str(num))
-        else:
-            texts.append(f"{'-' * (num < 0)}\\frac{{{abs(num)}}}{{{den}}}" if latex else f"{num}/{den}")
-    return texts
+    return [
+        str(num) if den == 1 else f"{'-' * (num < 0)}\\frac{{{abs(num)}}}{{{den}}}" if latex else f"{num}/{den}"
+        for num, den in _coeff_ratios(p)
+    ]
 
 
 def _render_poly(p: Polynomial, var: str, latex: bool) -> str:

@@ -236,7 +236,9 @@ def _in_cell(coeff: RationalFunction, powers: tuple[PowerFactor, ...], exp_arg: 
     if coeff.is_zero:
         return _ZERO
     out = object.__new__(WeightedExpression)
-    out.__dict__.update(coeff=coeff, powers=powers, exp_arg=exp_arg)  # frozen: past __setattr__
+    object.__setattr__(out, "coeff", coeff)
+    object.__setattr__(out, "powers", powers)
+    object.__setattr__(out, "exp_arg", exp_arg)
     return out
 
 
