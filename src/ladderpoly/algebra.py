@@ -139,9 +139,8 @@ def _divide(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, list[int], lis
 class Polynomial:
     """Dense univariate polynomial ``(content_num / content_den) * sum(ints[k] * x**k)``.
 
-    The content is a reduced int pair with a positive denominator, and
-    ``ints`` is primitive with a positive leading entry, so the three fields
-    are canonical; ``content`` and ``coeffs[k]`` build ``Fraction``s on request.
+    The content pair is reduced over a positive denominator and ``ints`` is primitive with a
+    positive leading entry, so the fields are canonical; ``content`` and ``coeffs`` build ``Fraction``s.
     """
 
     content_num: int
@@ -266,7 +265,8 @@ class Polynomial:
         # A constant's ints are (1,), and by Gauss's lemma the product of
         # primitive polynomials is primitive.
         if len(a) == 1 or len(b) == 1:
-            return Polynomial._raw(num, den, a if len(b) == 1 else b)
+            kept = self if len(b) == 1 else other  # a product by one returns the other factor itself
+            return kept if (num, den) == (kept.content_num, kept.content_den) else Polynomial._raw(num, den, kept.ints)
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
