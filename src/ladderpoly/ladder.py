@@ -12,15 +12,15 @@ exists in closed form exactly when t and b/a lie in the integrable class, the
 rational functions r for which ``weighted.exp_integral(r)`` exists, that is,
 whose ``algebra.partial_fractions`` has only simple poles at rational roots.
 
-Checks run on testers u: ``operator_images`` applies the operator to each u
-once for all drifts, and ``check_factorization`` compares fac.apply(u) with
-that image by canonical equality; only a failure computes the difference.
+Checks compare fac.apply(u), the split expanded once by the product rule,
+with the images ``operator_images`` makes once for all drifts, on testers u.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from functools import cached_property
+from typing import Iterable, Sequence
 
 from .algebra import DecompositionError, Polynomial, RationalFunction, Scalar, as_rational_function
 from .weighted import Coercible, WeightStructureError, WeightedExpression, as_weighted, exp_integral
@@ -41,8 +41,6 @@ class _Differentiate:
 
 
 DIFF = _Differentiate()
-
-ChainStep = Union[WeightedExpression, _Differentiate]
 
 
 @dataclass(frozen=True)
@@ -82,9 +80,9 @@ class LadderOperator:
 class Factorization:
     """The split f1 * D * g2 + h (raising) or -g2 * D * f1 + h (lowering).
 
-    Scalar normalization is deterministic: the exponential side uses
-    integration constant zero, and the other factor is a divided by it, so
-    f1 * g2 = a holds exactly.
+    f1 * g2 = a, with integration constant zero on the exponential side.
+    ``apply`` uses (outer*inner)*D + outer*inner' + h, for (outer, inner) =
+    (f1, g2) or, lowering, (-g2, f1): the product rule alone, never f1 * g2 = a.
     """
 
     f1: WeightedExpression
@@ -93,11 +91,13 @@ class Factorization:
     drift: RationalFunction
     form: str = RAISING
 
+    @cached_property
+    def _expanded(self) -> LadderOperator:
+        outer, inner = (self.f1, self.g2) if self.form == RAISING else (-self.g2, self.f1)
+        return LadderOperator(outer * inner, outer * inner.diff())
+
     def apply(self, u: WeightedExpression | Polynomial | Scalar) -> WeightedExpression:
-        u = as_weighted(u)
-        if self.form == RAISING:
-            return self.f1 * (self.g2 * u).diff() + self.h * u
-        return -(self.g2 * (self.f1 * u).diff()) + self.h * u
+        return self._expanded.apply(u) + self.h * u
 
 
 def rational_part(w: WeightedExpression, what: str) -> RationalFunction:
@@ -146,7 +146,7 @@ class FactorizationReport:
 
     @property
     def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
+        return bool(self.checks) and all(c.ok for c in self.checks)
 
     @property
     def first_failure(self) -> InstanceResult | None:
@@ -156,7 +156,7 @@ class FactorizationReport:
         passed = sum(c.ok for c in self.checks)
         text = f"{passed}/{len(self.checks)} testers exact"
         if not self.ok:
-            text += f"; first failure on {self.first_failure.params['tester']}"
+            text += f"; first failure on {self.first_failure.params['tester']}" if self.checks else "; nothing checked"
         return text
 
 
@@ -186,7 +186,7 @@ def verify_factorization(op: LadderOperator, fac: Factorization, testers: Iterab
 
 
 def apply_chain(
-    steps: Sequence[ChainStep], u: WeightedExpression | Polynomial | Scalar
+    steps: Sequence[WeightedExpression | _Differentiate], u: WeightedExpression | Polynomial | Scalar
 ) -> WeightedExpression:
     """Apply a printed operator chain, rightmost step first.
 

@@ -98,17 +98,28 @@ def drift_factor_chain(row: tuple, t: RationalFunction) -> Polynomial:
     return (apply_chain([left * e, *steps], operand / e) * scale).as_polynomial()
 
 
+def composed_apply(fac, u):
+    """fac applied as the written composition, f1*(g2*u)' + h*u or, lowering,
+    -(g2*(f1*u)') + h*u: one derivative and fold of the product per tester,
+    independent of the product-rule expansion ``Factorization.apply`` uses."""
+    u = as_weighted(u)
+    if fac.form == RAISING:
+        return fac.f1 * (fac.g2 * u).diff() + fac.h * u
+    return -(fac.g2 * (fac.f1 * u).diff()) + fac.h * u
+
+
 def reference_factorization_instances(split=factorize, num_drifts: int = 25) -> list[tuple[dict, bool, str | None]]:
     """The factorization suite's (params, ok, discrepancy) list, built the
-    direct way: one op.apply per check, (got - expected).is_zero as the test
-    and the difference's text as the discrepancy."""
+    direct way: one op.apply and one ``composed_apply`` per check,
+    (got - expected).is_zero as the test and the difference's text as the
+    discrepancy."""
     out = []
     for kind, op in representative_operators():
         for index, drift in enumerate(random_drifts(num_drifts)):
             fac = split(op, drift)
             for tester in standard_testers():
                 u = as_weighted(tester)
-                difference = fac.apply(u) - op.apply(u)
+                difference = composed_apply(fac, u) - op.apply(u)
                 params = {"family": kind, "drift": str(index), "tester": u.to_text(op.var)}
                 out.append((params, difference.is_zero, None if difference.is_zero else difference.to_text(op.var)))
     return out

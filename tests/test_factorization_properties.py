@@ -9,6 +9,7 @@ Out-of-class drifts keep a double pole or an irreducible quadratic factor and
 must raise OutOfClassError, never anything else.
 """
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,9 @@ from ladderpoly.algebra import Polynomial, RationalFunction, linear  # noqa: E40
 from ladderpoly.families import FamilySpec, make_operator  # noqa: E402
 from ladderpoly.ladder import LOWERING, RAISING, OutOfClassError, factorize, verify_factorization  # noqa: E402
 from ladderpoly.verify import standard_testers  # noqa: E402
-from ladderpoly.weighted import as_weighted  # noqa: E402
+from ladderpoly.weighted import WeightStructureError, WeightedExpression, as_weighted  # noqa: E402
+
+from helpers import composed_apply  # noqa: E402
 
 POLES = tuple(Fraction(p) for p in ("0", "1", "-1", "1/2", "2", "-3", "-2/3"))
 
@@ -109,3 +112,32 @@ def test_out_of_class_drift_raises_out_of_class(kind, direction, data, t):
     with pytest.raises(OutOfClassError):
         factorize(op, t)
 
+
+
+#: A factorization as split, and the two corruptions of ``tests/test_ladder.py``:
+#: a wrong g2 in the same weight cell, and an f1 with a weight no operand has.
+CORRUPTIONS = (
+    lambda fac: fac,
+    lambda fac: dataclasses.replace(fac, g2=fac.g2 * as_weighted(linear(1))),
+    lambda fac: dataclasses.replace(fac, f1=fac.f1 * WeightedExpression.power(5, Fraction(1, 3))),
+)
+
+
+def outcome(apply, fac, u):
+    """apply(fac, u), or the operands of the WeightStructureError it raises."""
+    try:
+        return "value", apply(fac, u)
+    except WeightStructureError as exc:
+        return "weight structure differs", exc.operands
+
+
+@pytest.mark.parametrize("kind,direction", OPERATORS, ids=[f"{k}-{d}" for k, d in OPERATORS])
+@settings(max_examples=6, deadline=None)
+@given(data=st.data(), t=in_class_drifts)
+def test_expanded_apply_is_the_composition(kind, direction, data, t):
+    """The product-rule expansion gives the composition's value, or raises with its operands."""
+    op = operator(data, kind, direction)
+    for corrupt in CORRUPTIONS:
+        fac = corrupt(factorize(op, t))
+        for u in standard_testers():
+            assert outcome(type(fac).apply, fac, u) == outcome(composed_apply, fac, u)

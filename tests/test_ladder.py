@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ladderpoly.algebra import ONE, Polynomial, RationalFunction, X
+from ladderpoly.algebra import ONE, Polynomial, RationalFunction, X, linear
 from ladderpoly.families import FamilySpec, generate_ladder, make_operator, oracle_recurrence, qpow
 from ladderpoly.ladder import (
     DIFF,
@@ -14,7 +14,9 @@ from ladderpoly.ladder import (
     Factorization,
     LadderOperator,
     apply_chain,
+    check_factorization,
     factorize,
+    operator_images,
     verify_factorization,
 )
 from ladderpoly import verify
@@ -204,6 +206,43 @@ class TestVerifyFactorization:
             for drift in random_drifts(3, seed=9):
                 fac = factorize(op, drift)
                 assert verify_factorization(op, fac, testers).ok, spec.kind
+
+    def test_no_tester_checked_does_not_pass(self):
+        op = make_operator(FamilySpec("legendre", 3), RAISING)
+        report = verify_factorization(op, factorize(op, 0), [])
+        assert not report.ok
+        assert report.first_failure is None
+        assert report.summary() == "0/0 testers exact; nothing checked"
+
+    @pytest.mark.parametrize(
+        "spec,direction",
+        [
+            (FamilySpec("legendre", 3), RAISING),
+            (FamilySpec("legendre", 3), LOWERING),
+            (FamilySpec("gegenbauer", 3, lam=Fraction(3, 2)), LOWERING),
+            (FamilySpec("hermite", 2), RAISING),
+        ],
+        ids=["legendre-raising", "legendre-lowering", "gegenbauer-lowering", "hermite-raising"],
+    )
+    def test_a_check_differentiates_the_split_once(self, monkeypatch, spec, direction):
+        # Each factor carries a weight here; only the split's inner factor and the
+        # exp(-x) tester should be differentiated as weighted members, not g2*u per tester.
+        op = make_operator(spec, direction)
+        images = operator_images(op, standard_testers())
+        fac = factorize(op, RationalFunction(ONE, linear(2)))
+        diff, weighted_diffs = WeightedExpression.diff, []
+
+        def counting(self):
+            if self.powers or not self.exp_arg.is_zero:
+                weighted_diffs.append(self)
+            return diff(self)
+
+        monkeypatch.setattr(WeightedExpression, "diff", counting)
+        assert check_factorization(fac, images, op.var).ok
+        assert len(weighted_diffs) == 2
+        weighted_diffs.clear()
+        assert check_factorization(fac, images, op.var).ok  # the expansion is kept
+        assert weighted_diffs == [WeightedExpression.exp_of(-X)]
 
     def test_h_zero_reduction_matches_operator(self):
         # factorize with t = 0 then apply-as-factorized equals the plain operator
