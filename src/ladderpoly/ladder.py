@@ -12,8 +12,7 @@ exists in closed form exactly when t and b/a lie in the integrable class, the
 rational functions r for which ``weighted.exp_integral(r)`` exists, that is,
 whose ``algebra.partial_fractions`` has only simple poles at rational roots.
 
-Checks compare fac.apply(u), the split expanded once by the product rule,
-with the images ``operator_images`` makes once for all drifts, on testers u.
+Checks compare fac.apply(u), expanded by the product rule, with op.apply(u).
 """
 
 from __future__ import annotations
@@ -80,9 +79,8 @@ class LadderOperator:
 class Factorization:
     """The split f1 * D * g2 + h (raising) or -g2 * D * f1 + h (lowering).
 
-    f1 * g2 = a, with integration constant zero on the exponential side.
-    ``apply`` uses (outer*inner)*D + outer*inner' + h, for (outer, inner) =
-    (f1, g2) or, lowering, (-g2, f1): the product rule alone, never f1 * g2 = a.
+    ``apply`` expands it by the product rule alone, never using f1 * g2 = a:
+    (outer*inner)*D + outer*inner' + h, outer*inner being f1*g2 or -g2*f1.
     """
 
     f1: WeightedExpression
@@ -92,12 +90,14 @@ class Factorization:
     form: str = RAISING
 
     @cached_property
-    def _expanded(self) -> LadderOperator:
+    def _expanded(self) -> tuple[WeightedExpression, WeightedExpression]:
         outer, inner = (self.f1, self.g2) if self.form == RAISING else (-self.g2, self.f1)
-        return LadderOperator(outer * inner, outer * inner.diff())
+        return outer * inner, outer * inner.diff()
 
     def apply(self, u: WeightedExpression | Polynomial | Scalar) -> WeightedExpression:
-        return self._expanded.apply(u) + self.h * u
+        lead, slope = self._expanded
+        u = as_weighted(u)
+        return lead * u.diff() + slope * u + self.h * u
 
 
 def rational_part(w: WeightedExpression, what: str) -> RationalFunction:

@@ -19,7 +19,14 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from ladderpoly.algebra import Polynomial, RationalFunction, linear  # noqa: E402
 from ladderpoly.families import FamilySpec, make_operator  # noqa: E402
-from ladderpoly.ladder import LOWERING, RAISING, OutOfClassError, factorize, verify_factorization  # noqa: E402
+from ladderpoly.ladder import (  # noqa: E402
+    LOWERING,
+    RAISING,
+    Factorization,
+    OutOfClassError,
+    factorize,
+    verify_factorization,
+)
 from ladderpoly.verify import standard_testers  # noqa: E402
 from ladderpoly.weighted import WeightStructureError, WeightedExpression, as_weighted  # noqa: E402
 
@@ -113,7 +120,6 @@ def test_out_of_class_drift_raises_out_of_class(kind, direction, data, t):
         factorize(op, t)
 
 
-
 #: A factorization as split, and the two corruptions of ``tests/test_ladder.py``:
 #: a wrong g2 in the same weight cell, and an f1 with a weight no operand has.
 CORRUPTIONS = (
@@ -140,4 +146,4 @@ def test_expanded_apply_is_the_composition(kind, direction, data, t):
     for corrupt in CORRUPTIONS:
         fac = corrupt(factorize(op, t))
         for u in standard_testers():
-            assert outcome(type(fac).apply, fac, u) == outcome(composed_apply, fac, u)
+            assert outcome(Factorization.apply, fac, u) == outcome(composed_apply, fac, u)
