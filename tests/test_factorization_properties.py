@@ -120,12 +120,14 @@ def test_out_of_class_drift_raises_out_of_class(kind, direction, data, t):
         factorize(op, t)
 
 
-#: A factorization as split, and the two corruptions of ``tests/test_ladder.py``:
-#: a wrong g2 in the same weight cell, and an f1 with a weight no operand has.
+#: A factorization as split, the two corruptions of ``tests/test_ladder.py`` (a
+#: wrong g2 in the same weight cell, an f1 with a weight no operand has) and a
+#: zero f1, whose expansion is zero and must still be applied, not refused.
 CORRUPTIONS = (
     lambda fac: fac,
     lambda fac: dataclasses.replace(fac, g2=fac.g2 * as_weighted(linear(1))),
     lambda fac: dataclasses.replace(fac, f1=fac.f1 * WeightedExpression.power(5, Fraction(1, 3))),
+    lambda fac: dataclasses.replace(fac, f1=as_weighted(0)),
 )
 
 
