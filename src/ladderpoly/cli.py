@@ -194,11 +194,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "gen":
-            return cmd_gen(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        return cmd_factorize(args)
+        return {"gen": cmd_gen, "verify": cmd_verify, "factorize": cmd_factorize}[args.command](args)
     except (ParseError, OutOfClassError, ValueError, ZeroDivisionError, RecursionError, MemoryError, OSError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2

@@ -66,11 +66,7 @@ def pochhammer(z: Fraction | int, k: int) -> Fraction:
     """Rising factorial z (z+1) ... (z+k-1)."""
     if k < 0:
         raise ValueError("pochhammer index must be nonnegative")
-    out = Fraction(1)
-    z = Fraction(z)
-    for i in range(k):
-        out *= z + i
-    return out
+    return math.prod((Fraction(z) + i for i in range(k)), start=Fraction(1))
 
 
 #: parameter -> (label, exact type, range test on (value, n), what a kind that

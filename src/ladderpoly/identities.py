@@ -262,11 +262,11 @@ def remainder_expansion(n: int, h: Polynomial) -> list[Polynomial]:
 
 
 def remainder_linear_coefficients(n: int) -> list[Polynomial]:
-    """The polynomials g_0..g_(n-2) with linear-in-h part of F = sum g_j h^(j).
+    """The polynomials g_0..g_(n-2) of the linear-in-h part of F = sum g_j h^(j).
 
-    Recovered by probing monomial drifts h = x^k, k = 0..n-2: the linear part
-    of F is a differential operator of order n-2 applied to h, and the probes
-    triangularize it.
+    That part is a differential operator of order n-1 applied to h, whose top
+    coefficient g_(n-1) is (x^2-1)^(n-1); the monomial drifts h = x^k,
+    k = 0..n-2, probe the coefficients below it and triangularize them.
     """
     gs: list[Polynomial] = []
     for k in range(n - 1):

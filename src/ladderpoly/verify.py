@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 from .algebra import MAX_EXPONENT, Polynomial, X
 from .families import (
@@ -23,7 +24,7 @@ from .families import (
 )
 # check_eq31 stays importable from here: perfbench's tracing test patches and restores it.
 from .identities import DEFAULT_LAMBDAS, IdentityReport, check_eq31, identity_check  # noqa: F401
-from .ladder import RAISING, LadderOperator, check_factorization, factorize, operator_images
+from .ladder import RAISING, LadderOperator, factorize, verify_factorization
 from .weighted import WeightedExpression, as_weighted
 
 DEFAULT_ALPHAS = (Fraction(0), Fraction(-1, 2), Fraction(1, 2), Fraction(1))
@@ -99,14 +100,10 @@ def representative_operators() -> list[tuple[str, LadderOperator]]:
     return [(spec.kind, make_operator(spec, RAISING)) for spec in picks]
 
 
-def standard_testers() -> list[WeightedExpression]:
-    return [
-        as_weighted(1),
-        as_weighted(X),
-        as_weighted(X * X),
-        as_weighted(X_SQ_MINUS_1 ** 3),
-        WeightedExpression.exp_of(-X),
-    ]
+@cache
+def standard_testers() -> tuple[WeightedExpression, ...]:
+    """The five testers of every factorization check, built once."""
+    return (*map(as_weighted, (1, X, X * X, X_SQ_MINUS_1**3)), WeightedExpression.exp_of(-X))
 
 
 def random_drifts(count: int, seed: int = DRIFT_SEED) -> list[Polynomial]:
@@ -128,9 +125,8 @@ def suite_factorization() -> list[IdentityReport]:
     report = IdentityReport("factorization-round-trip")
     drifts = random_drifts(25)
     for kind, op in representative_operators():
-        images = operator_images(op, standard_testers())  # shared by every drift
         for index, drift in enumerate(drifts):
-            for entry in check_factorization(factorize(op, drift), images, op.var).checks:
+            for entry in verify_factorization(op, factorize(op, drift), standard_testers()).checks:
                 report.record({"family": kind, "drift": str(index), **entry.params}, entry.ok, entry.discrepancy)
     return [report]
 

@@ -6,7 +6,7 @@ from ladderpoly.algebra import ONE, PartialFractions, Polynomial, RationalFuncti
 from ladderpoly.families import FamilySpec, make_operator, oracle_recurrence
 from ladderpoly.ladder import LOWERING, RAISING, apply_chain, factorize
 from ladderpoly.verify import random_drifts, representative_operators, standard_testers
-from ladderpoly.weighted import as_weighted, exp_integral
+from ladderpoly.weighted import WeightStructureError, as_weighted, exp_integral
 
 
 def _legendre(n: int) -> Polynomial:
@@ -108,18 +108,28 @@ def composed_apply(fac, u):
     return -(fac.g2 * (fac.f1 * u).diff()) + fac.h * u
 
 
+def reference_check(op, fac, u) -> tuple[bool, str | None]:
+    """One tester's (ok, discrepancy), the direct way: composed_apply(fac, u) - op.apply(u)
+    must be zero, a nonzero difference is printed, and a weight-cell mismatch names
+    the two members it could not add."""
+    u = as_weighted(u)
+    expected = op.apply(u)
+    try:
+        difference = composed_apply(fac, u) - expected
+    except WeightStructureError as exc:
+        left, right = exc.operands
+        return False, f"weight structure differs: {left.to_text(op.var)} vs {right.to_text(op.var)}"
+    return difference.is_zero, None if difference.is_zero else difference.to_text(op.var)
+
+
 def reference_factorization_instances(split=factorize, num_drifts: int = 25) -> list[tuple[dict, bool, str | None]]:
     """The factorization suite's (params, ok, discrepancy) list, built the
-    direct way: one op.apply and one ``composed_apply`` per check,
-    (got - expected).is_zero as the test and the difference's text as the
-    discrepancy."""
+    direct way: one ``reference_check`` per (operator, drift, tester)."""
     out = []
     for kind, op in representative_operators():
         for index, drift in enumerate(random_drifts(num_drifts)):
             fac = split(op, drift)
             for tester in standard_testers():
-                u = as_weighted(tester)
-                difference = composed_apply(fac, u) - op.apply(u)
-                params = {"family": kind, "drift": str(index), "tester": u.to_text(op.var)}
-                out.append((params, difference.is_zero, None if difference.is_zero else difference.to_text(op.var)))
+                params = {"family": kind, "drift": str(index), "tester": as_weighted(tester).to_text(op.var)}
+                out.append((params, *reference_check(op, fac, tester)))
     return out

@@ -30,7 +30,7 @@ from ladderpoly.ladder import (  # noqa: E402
 from ladderpoly.verify import standard_testers  # noqa: E402
 from ladderpoly.weighted import WeightStructureError, WeightedExpression, as_weighted  # noqa: E402
 
-from helpers import composed_apply  # noqa: E402
+from helpers import composed_apply, reference_check  # noqa: E402
 
 POLES = tuple(Fraction(p) for p in ("0", "1", "-1", "1/2", "2", "-3", "-2/3"))
 
@@ -149,3 +149,26 @@ def test_expanded_apply_is_the_composition(kind, direction, data, t):
         fac = corrupt(factorize(op, t))
         for u in standard_testers():
             assert outcome(Factorization.apply, fac, u) == outcome(composed_apply, fac, u)
+
+
+#: The split as made, and the wrong ones a check must catch: g2 in its cell but
+#: wrong, f1 with a weight no operand has, a wrong drift term and h off by a.
+CHECKED_SPLITS = (
+    lambda fac, op: fac,
+    lambda fac, op: dataclasses.replace(fac, g2=fac.g2 * as_weighted(linear(1))),
+    lambda fac, op: dataclasses.replace(fac, f1=fac.f1 * WeightedExpression.power(5, Fraction(1, 3))),
+    lambda fac, op: dataclasses.replace(fac, h=fac.h * 2),
+    lambda fac, op: dataclasses.replace(fac, h=fac.h + op.a),
+)
+
+
+@pytest.mark.parametrize("kind,direction", OPERATORS, ids=[f"{k}-{d}" for k, d in OPERATORS])
+@settings(max_examples=6, deadline=None)
+@given(data=st.data(), t=in_class_drifts)
+def test_verification_matches_the_direct_reference(kind, direction, data, t):
+    """The identity test decides as the tester-by-tester comparison would, in both forms."""
+    op = operator(data, kind, direction)
+    for split in CHECKED_SPLITS:
+        fac = split(factorize(op, t), op)
+        report = verify_factorization(op, fac, standard_testers())
+        assert [(c.ok, c.discrepancy) for c in report.checks] == [reference_check(op, fac, u) for u in standard_testers()]

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -233,6 +234,17 @@ class TestRemainderTerm:
             gs = remainder_linear_coefficients(n)
             expected = X * X_SQ_MINUS_1 ** (n - 2) * Fraction(3 * n * n - 5 * n + 4, 2)
             assert gs[n - 2] == expected
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_linear_part_has_order_n_minus_1(self, n):
+        # the probes stop at x^(n-2); on h = x^(n-1) what g_0..g_(n-2) leave is
+        # the top term (x^2-1)^(n-1) h^(n-1)
+        h = Polynomial.monomial(1, n - 1)
+        residual, derivative = remainder_expansion(n, h)[1], h
+        for g in remainder_linear_coefficients(n):
+            residual, derivative = residual - g * derivative, derivative.diff()
+        assert derivative == Polynomial.constant(math.factorial(n - 1))
+        assert residual == X_SQ_MINUS_1 ** (n - 1) * derivative
 
     def test_observed_top_power_law(self):
         for n in (2, 3, 4):

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,12 +15,10 @@ from ladderpoly.ladder import (
     Factorization,
     LadderOperator,
     apply_chain,
-    check_factorization,
     factorize,
-    operator_images,
     verify_factorization,
 )
-from ladderpoly import verify
+from ladderpoly import families, verify
 from ladderpoly.parsing import parse_expression
 from ladderpoly.verify import random_drifts, representative_operators, standard_testers, suite_factorization
 from ladderpoly.weighted import WeightedExpression, as_weighted
@@ -27,6 +26,16 @@ from ladderpoly.weighted import WeightedExpression, as_weighted
 from helpers import reference_factorization_instances
 
 X_SQ_MINUS_1 = Polynomial.of(-1, 0, 1)
+
+#: kind -> the family parameters of the checks that cover every catalog row.
+CATALOG_PARAMS = {
+    "assoc-legendre": {"m": 2},
+    "gegenbauer": {"lam": Fraction(3, 2)},
+    "laguerre": {"alpha": Fraction(1, 2)},
+    "laguerre-radial": {"alpha": Fraction(1, 2)},
+    "coulomb-radial": {"ell": 1},
+    "oscillator-3d": {"ell": 1},
+}
 
 
 def w_poly(p):
@@ -221,14 +230,15 @@ class TestVerifyFactorization:
             (FamilySpec("legendre", 3), LOWERING),
             (FamilySpec("gegenbauer", 3, lam=Fraction(3, 2)), LOWERING),
             (FamilySpec("hermite", 2), RAISING),
+            (FamilySpec("assoc-legendre", 3, m=2), LOWERING),
         ],
-        ids=["legendre-raising", "legendre-lowering", "gegenbauer-lowering", "hermite-raising"],
+        ids=["legendre-raising", "legendre-lowering", "gegenbauer-lowering", "hermite-raising", "assoc-legendre-lowering"],
     )
     def test_a_check_differentiates_the_split_once(self, monkeypatch, spec, direction):
-        # Each factor carries a weight here; only the split's inner factor and the
-        # exp(-x) tester should be differentiated as weighted members, not g2*u per tester.
+        # Each factor carries a weight here, and so does the assoc-legendre a; only the
+        # split's inner factor should be differentiated as a weighted member, and no
+        # tester, since a correct split is checked as an operator identity.
         op = make_operator(spec, direction)
-        images = operator_images(op, standard_testers())
         fac = factorize(op, RationalFunction(ONE, linear(2)))
         diff, weighted_diffs = WeightedExpression.diff, []
 
@@ -238,11 +248,29 @@ class TestVerifyFactorization:
             return diff(self)
 
         monkeypatch.setattr(WeightedExpression, "diff", counting)
-        assert check_factorization(fac, images, op.var).ok
-        assert len(weighted_diffs) == 2
+        assert verify_factorization(op, fac, standard_testers()).ok
+        assert weighted_diffs == [fac.g2 if op.form == RAISING else fac.f1]
         weighted_diffs.clear()
-        assert check_factorization(fac, images, op.var).ok  # the expansion is kept
-        assert weighted_diffs == [WeightedExpression.exp_of(-X)]
+        assert verify_factorization(op, fac, standard_testers()).ok  # the expansions are kept
+        assert weighted_diffs == []
+
+    @pytest.mark.parametrize("kind", families.KINDS)
+    def test_only_a_wrong_split_is_applied_to_the_testers(self, monkeypatch, kind):
+        # every catalog row in each direction it prints: a correct split calls neither
+        # apply, a wrong one calls each once per tester
+        calls = []
+        for cls in (LadderOperator, Factorization):
+            monkeypatch.setattr(cls, "apply", lambda self, u, apply=cls.apply: calls.append(type(self)) or apply(self, u))
+        lowering = families._OPERATORS[kind][5]
+        for direction in (RAISING, LOWERING) if lowering else (RAISING,):
+            op = make_operator(FamilySpec(kind, 3, **CATALOG_PARAMS.get(kind, {})), direction)
+            fac = factorize(op, RationalFunction(ONE, linear(2)))
+            assert verify_factorization(op, fac, standard_testers()).ok
+            assert calls == [], direction
+            for bad in (dataclasses.replace(fac, h=fac.h * 2), dataclasses.replace(fac, g2=fac.g2 * w_poly(X - 1))):
+                assert verify_factorization(op, bad, standard_testers()).summary() == "0/5 testers exact; first failure on 1"
+                assert Counter(calls) == {LadderOperator: 5, Factorization: 5}, direction
+                calls.clear()
 
     def test_h_zero_reduction_matches_operator(self):
         # factorize with t = 0 then apply-as-factorized equals the plain operator
