@@ -92,11 +92,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_kind(name: str) -> str:
-    lowered = name.lower()
-    for kind in KINDS:
-        if kind.lower() == lowered:
-            return kind
-    raise ValueError(f"unknown family {name!r}; known: {', '.join(KINDS)}")
+    kind = {kind.lower(): kind for kind in KINDS}.get(name.lower())
+    if kind is None:
+        raise ValueError(f"unknown family {name!r}; known: {', '.join(KINDS)}")
+    return kind
 
 
 def _family_spec(args, n: int) -> FamilySpec:

@@ -63,6 +63,8 @@ class LadderOperator:
             raise ValueError(f"unknown operator form: {self.form}")
         if self.a.is_zero:
             raise ValueError("operator derivative coefficient must be nonzero")
+        if not self.b.is_zero and self.b.weight_cell() != self.a.weight_cell():  # b/a must be rational
+            raise ValueError(f"operator coefficients in different weight cells: {self.a} vs {self.b}")
 
     def apply(self, u: WeightedExpression | Polynomial | Scalar) -> WeightedExpression:
         u = as_weighted(u)
@@ -124,7 +126,7 @@ def factorize(
     """
     t = as_rational_function(drift)
     lead, slope = op._expanded
-    ratio = rational_part(slope / lead, "b/a")
+    ratio = (slope / lead).coeff  # rational, as a and b share a weight cell
     try:
         if op.form == RAISING:
             g2 = exp_integral(ratio - t)

@@ -61,6 +61,15 @@ class TestApplyOperator:
         result = plus.apply(as_weighted(1)).as_polynomial()
         assert result == oracle_recurrence(FamilySpec("laguerre", 1, alpha=Fraction(1, 2)))
 
+    @pytest.mark.parametrize("form", [RAISING, LOWERING])
+    def test_coefficients_in_different_weight_cells_are_refused(self, form):
+        # b/a is then not rational: no split exists, and a*u' + b*u cannot be added up
+        b = w_poly(X) * WeightedExpression.power(5, Fraction(1, 3))
+        with pytest.raises(ValueError, match=r"^operator coefficients in different weight cells: x\^2 - 1 vs "):
+            LadderOperator(w_poly(X_SQ_MINUS_1), b, form)
+        assert LadderOperator(w_poly(X_SQ_MINUS_1) * b, b, form).b == b
+        assert LadderOperator(b, as_weighted(0), form).b.is_zero
+
     def test_lowering_form_is_composition(self):
         ln = LadderOperator(w_poly(X_SQ_MINUS_1), w_poly(X * 4), LOWERING)
         # -( (x^2-1) u )' + 4x u at u = x: -(x^3-x)' + 4x^2 = x^2 + 1
