@@ -17,8 +17,8 @@ Canonical form:
     algebra.MAX_EXPONENT of them raise ValueError before anything is built.
     Sums, negations, derivatives and products with a weight-free factor keep
     a canonical cell.  The fold of other products and of quotients, and a
-    cell's log-derivative, depend on the cells alone, which repeat (a split's
-    two expanded coefficients share one fold): each sits in an lru_cache of 512 entries;
+    cell's log-derivative, depend on the cells alone, which repeat (both
+    expansion products share a fold): each sits in an lru_cache of 512 entries;
   * the constant term of the exponential argument is dropped (a factor
     exp(const) is not rational, and every comparison downstream is made up to
     a nonzero scalar anyway);

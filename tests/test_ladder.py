@@ -241,7 +241,9 @@ class TestVerifyFactorization:
             (FamilySpec("hermite", 2), RAISING),
             (FamilySpec("assoc-legendre", 3, m=2), LOWERING),
         ],
-        ids=["legendre-raising", "legendre-lowering", "gegenbauer-lowering", "hermite-raising", "assoc-legendre-lowering"],
+        ids=[
+            "legendre-raising", "legendre-lowering", "gegenbauer-lowering", "hermite-raising", "assoc-legendre-lowering"
+        ],
     )
     def test_a_check_differentiates_the_split_once(self, monkeypatch, spec, direction):
         # Each factor carries a weight here, and so does the assoc-legendre a; only the
@@ -268,8 +270,12 @@ class TestVerifyFactorization:
         # every catalog row in each direction it prints: a correct split calls neither
         # apply, a wrong one calls each once per tester
         calls = []
+
+        def counted(apply):
+            return lambda self, u: calls.append(type(self)) or apply(self, u)
+
         for cls in (LadderOperator, Factorization):
-            monkeypatch.setattr(cls, "apply", lambda self, u, apply=cls.apply: calls.append(type(self)) or apply(self, u))
+            monkeypatch.setattr(cls, "apply", counted(cls.apply))
         lowering = families._OPERATORS[kind][5]
         for direction in (RAISING, LOWERING) if lowering else (RAISING,):
             op = make_operator(FamilySpec(kind, 3, **CATALOG_PARAMS.get(kind, {})), direction)
@@ -277,7 +283,8 @@ class TestVerifyFactorization:
             assert verify_factorization(op, fac, standard_testers()).ok
             assert calls == [], direction
             for bad in (dataclasses.replace(fac, h=fac.h * 2), dataclasses.replace(fac, g2=fac.g2 * w_poly(X - 1))):
-                assert verify_factorization(op, bad, standard_testers()).summary() == "0/5 testers exact; first failure on 1"
+                report = verify_factorization(op, bad, standard_testers())
+                assert report.summary() == "0/5 testers exact; first failure on 1"
                 assert Counter(calls) == {LadderOperator: 5, Factorization: 5}, direction
                 calls.clear()
 
