@@ -638,13 +638,12 @@ def partial_fractions(r: RationalFunction) -> PartialFractions:
     quotient, remainder = divmod(r.num, r.den)
     if remainder.is_zero:
         return PartialFractions(quotient, ())
-    den = r.den
-    if poly_gcd(den, den.diff()).degree > 0:
+    den, dprime = r.den, r.den.diff()
+    if poly_gcd(den, dprime).degree > 0:
         raise RepeatedPoleError(f"{_named('denominator', den)} has a repeated factor")
     roots, residual = rational_roots(den)
     if residual.degree > 0:
         raise IrreducibleFactorError(f"{_named('denominator factor', residual)} is irreducible over the rationals")
-    dprime = den.diff()
     terms = tuple((root, remainder(root) / dprime(root)) for root in sorted(roots))
     return PartialFractions(quotient, terms)
 

@@ -26,7 +26,7 @@ from .families import (
     make_operator,
     oracle_recurrence,
 )
-from .ladder import InstanceResult, LOWERING, RAISING, apply_chain
+from .ladder import DIFF, InstanceResult, LOWERING, RAISING, apply_chain
 from .weighted import WeightedExpression, as_weighted, exp_integral
 
 DEFAULT_LAMBDAS = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2))
@@ -262,20 +262,23 @@ def remainder_expansion(n: int, h: Polynomial) -> list[Polynomial]:
 
 
 def remainder_linear_coefficients(n: int) -> list[Polynomial]:
-    """The polynomials g_0..g_(n-2) of the linear-in-h part of F = sum g_j h^(j).
+    """The polynomials g_0..g_(n-1) of the linear-in-h part of F = sum g_j h^(j); g_(n-1) is (x^2-1)^(n-1).
 
-    That part is a differential operator of order n-1 applied to h, whose top
-    coefficient g_(n-1) is (x^2-1)^(n-1); the monomial drifts h = x^k,
-    k = 0..n-2, probe the coefficients below it and triangularize them.
+    One walk over the Legendre h0-chain row carries the member c and [g_0, g_1, ...]: a multiply step scales
+    each, and a D step, read as D - s h/(x^2-1), maps g_j to g_j' + g_(j-1) and subtracts c/(x^2-1) from g_0
+    before c becomes c'.
     """
-    gs: list[Polynomial] = []
-    for k in range(n - 1):
-        linear_part = remainder_expansion(n, Polynomial.monomial(1, k))[1]
-        for j, g in enumerate(gs):
-            falling = Fraction(math.factorial(k), math.factorial(k - j))
-            linear_part = linear_part - g * Polynomial.monomial(falling, k - j)
-        gs.append(linear_part * Fraction(1, math.factorial(k)))
-    return gs
+    if n < 2:
+        raise ValueError("the remainder term needs n >= 2")
+    left, steps, operand, scale = chain_row(FamilySpec("legendre", n), "h0-chain")
+    c, gs, zero = as_weighted(operand), [], as_weighted(0)
+    for step in reversed([left, *steps]):
+        if step is not DIFF:
+            c, gs = step * c, [step * g for g in gs]
+        else:
+            gs = [a.diff() + b for a, b in zip([*gs, zero], [zero, *gs])]
+            gs[0], c = gs[0] - c / X_SQ_MINUS_1, c.diff()
+    return [(g * scale).as_polynomial() * -math.factorial(n) for g in gs]
 
 
 def remainder_structure_report(
@@ -284,9 +287,9 @@ def remainder_structure_report(
 ) -> IdentityReport:
     """Check the two stated leading terms of F[h] and record the outcomes.
 
-    Claim A: the coefficient of the top derivative h^(n-2) in the linear part
-    equals x (x^2-1)^(n-2).  Claim B: the top power term equals
-    (-1)^n (n-1)! x h^(n-1).  Both claims are measured against the computed
+    Claim A: the coefficient of h^(n-2), which the paper calls the top derivative (the true
+    top derivative is h^(n-1)), in the linear part equals x (x^2-1)^(n-2).  Claim B: the top
+    power term equals (-1)^n (n-1)! x h^(n-1).  Both claims are measured against the computed
     expansion; a recorded failure carries the computed value.
 
     The report also freezes the two regularities the expansion actually

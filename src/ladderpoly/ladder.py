@@ -67,10 +67,8 @@ class LadderOperator:
             raise ValueError(f"operator coefficients in different weight cells: {self.a} vs {self.b}")
 
     def apply(self, u: WeightedExpression | Polynomial | Scalar) -> WeightedExpression:
-        u = as_weighted(u)
-        if self.form == RAISING:
-            return self.a * u.diff() + self.b * u
-        return -(self.a * u).diff() + self.b * u
+        (a, b), u = self._expanded, as_weighted(u)
+        return a * u.diff() + b * u
 
     @cached_property
     def _expanded(self) -> tuple[WeightedExpression, WeightedExpression]:

@@ -1,9 +1,11 @@
 """Check helpers shared by the test modules; the library itself never calls them."""
 
 import math
+from fractions import Fraction
 
 from ladderpoly.algebra import ONE, PartialFractions, Polynomial, RationalFunction, as_rational_function, linear
 from ladderpoly.families import FamilySpec, make_operator, oracle_recurrence
+from ladderpoly.identities import remainder_expansion
 from ladderpoly.ladder import LOWERING, RAISING, apply_chain, factorize
 from ladderpoly.verify import random_drifts, representative_operators, standard_testers
 from ladderpoly.weighted import WeightStructureError, as_weighted, exp_integral
@@ -88,6 +90,20 @@ def legendre_operator_relation_holds(n: int, drift) -> bool:
     result = fac.apply(operand)
     expected = _legendre(n) * (2 ** (n - 1) * math.factorial(n))
     return result.as_polynomial() == expected
+
+
+def probe_linear_coefficients(n: int) -> list[Polynomial]:
+    """g_0..g_(n-2) of the linear-in-h part of F = sum g_j h^(j), from probes:
+    the monomial drifts h = x^k, k = 0..n-2, each through a full
+    ``remainder_expansion``, triangularized by falling factorials."""
+    gs: list[Polynomial] = []
+    for k in range(n - 1):
+        linear_part = remainder_expansion(n, Polynomial.monomial(1, k))[1]
+        for j, g in enumerate(gs):
+            falling = Fraction(math.factorial(k), math.factorial(k - j))
+            linear_part = linear_part - g * Polynomial.monomial(falling, k - j)
+        gs.append(linear_part * Fraction(1, math.factorial(k)))
+    return gs
 
 
 def drift_factor_chain(row: tuple, t: RationalFunction) -> Polynomial:

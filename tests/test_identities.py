@@ -20,7 +20,7 @@ from ladderpoly.ladder import DIFF
 from ladderpoly.verify import random_drifts
 from ladderpoly.weighted import as_weighted
 
-from helpers import drift_factor_chain, legendre_operator_relation_holds
+from helpers import drift_factor_chain, legendre_operator_relation_holds, probe_linear_coefficients
 
 
 def legendre(n):
@@ -229,11 +229,31 @@ class TestRemainderTerm:
         assert observed and all(i.ok for i in observed)
 
     def test_observed_derivative_coefficient_law(self):
-        # past the report's n = 8; the probes' cost grows steeply with n
-        for n in range(3, 13):
+        for n in range(3, 41):
             gs = remainder_linear_coefficients(n)
             expected = X * X_SQ_MINUS_1 ** (n - 2) * Fraction(3 * n * n - 5 * n + 4, 2)
             assert gs[n - 2] == expected
+            assert gs[n - 1] == X_SQ_MINUS_1 ** (n - 1)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_linear_coefficients_match_the_probes(self, n):
+        # the one pass against the monomial probes h = x^k, k <= n-2, which cannot
+        # see the top coefficient; that one is (x^2-1)^(n-1)
+        gs = remainder_linear_coefficients(n)
+        assert len(gs) == n
+        assert gs[:-1] == probe_linear_coefficients(n)
+        assert gs[-1] == X_SQ_MINUS_1 ** (n - 1)
+
+    def test_linear_coefficients_n2_closed_form(self):
+        # the linear part of F[h] = 3xh - h^2 + (x^2-1) h' for n = 2
+        assert remainder_linear_coefficients(2) == [X * 3, X_SQ_MINUS_1]
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_remainder_needs_n_at_least_2(self, n):
+        with pytest.raises(ValueError, match=r"^the remainder term needs n >= 2$"):
+            remainder_linear_coefficients(n)
+        with pytest.raises(ValueError, match=r"^the remainder term needs n >= 2$"):
+            remainder_structure_report([n])
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_linear_part_has_order_n_minus_1(self, n):
@@ -241,7 +261,7 @@ class TestRemainderTerm:
         # the top term (x^2-1)^(n-1) h^(n-1)
         h = Polynomial.monomial(1, n - 1)
         residual, derivative = remainder_expansion(n, h)[1], h
-        for g in remainder_linear_coefficients(n):
+        for g in probe_linear_coefficients(n):
             residual, derivative = residual - g * derivative, derivative.diff()
         assert derivative == Polynomial.constant(math.factorial(n - 1))
         assert residual == X_SQ_MINUS_1 ** (n - 1) * derivative

@@ -75,6 +75,15 @@ class TestApplyOperator:
         # -( (x^2-1) u )' + 4x u at u = x: -(x^3-x)' + 4x^2 = x^2 + 1
         assert ln.apply(w_poly(X)).as_polynomial() == Polynomial.of(1, 0, 1)
 
+    @pytest.mark.parametrize("kind", families.KINDS)
+    def test_apply_is_the_written_composition(self, kind):
+        # apply reads the expansion A D + B; the written lowering shape differentiates a*u
+        for direction in (RAISING, LOWERING) if families._OPERATORS[kind][5] else (RAISING,):
+            op = make_operator(FamilySpec(kind, 3, **CATALOG_PARAMS.get(kind, {})), direction)
+            for u in standard_testers():
+                written = op.a * u.diff() if op.form == RAISING else -(op.a * u).diff()
+                assert op.apply(u) == written + op.b * u, (str(op), str(u))
+
 
 class TestFactorize:
     def test_readme_quick_start(self):
