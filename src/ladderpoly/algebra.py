@@ -559,20 +559,21 @@ def _horner(coeffs: list[int], x: int, modulus: int) -> int:
     return acc
 
 
-def _root_candidates(p: Polynomial) -> list[Fraction]:
-    """A superset of the distinct rational roots of p, found by p-adic lifting.
+def _root_candidates(g: Polynomial) -> list[Fraction]:
+    """A superset of the distinct rational roots of a square-free g, found by p-adic lifting.
 
-    g is the square-free part of p, scaled to a primitive integer polynomial
-    with leading coefficient l and constant term a_0 (nonzero: x is no factor
-    of p).  A rational root u/v of g has u | a_0 and v | l, so l*u/v is an
-    integer of absolute value at most |l*a_0|.  For the first prime q that
-    does not divide l and at which every root of g mod q is simple, each root
-    r mod q lifts by Newton's method to a unique root mod q^k; once
-    q^k > 2|l*a_0|, the symmetric residue of l*r, divided by l, is the only
-    rational root that r can be (Loos, SIAM J. Comput. 12, 1983).
+    g, read as its primitive integer polynomial, has leading coefficient l
+    and constant term a_0 (nonzero: x is no factor of g); a linear g gives
+    its root directly.  A rational root u/v of g has u | a_0 and v | l, so
+    l*u/v is an integer of absolute value at most |l*a_0|.  For the first
+    prime q that does not divide l and at which every root of g mod q is
+    simple, each root r mod q lifts by Newton's method to a unique root mod
+    q^k; once q^k > 2|l*a_0|, the symmetric residue of l*r, divided by l, is
+    the only rational root that r can be (Loos, SIAM J. Comput. 12, 1983).
     """
-    g = _cancel(p, p.diff())[0]
     ints = g.ints
+    if len(ints) < 3:
+        return [Fraction(-ints[0], ints[1])] if ints[1:] else []
     slopes = [k * c for k, c in enumerate(ints)][1:]
     lead = ints[-1]
     # Finitely many primes divide l or the discriminant of the square-free g,
@@ -598,27 +599,22 @@ def _root_candidates(p: Polynomial) -> list[Fraction]:
 def rational_roots(p: Polynomial) -> tuple[list[Fraction], Polynomial]:
     """All rational roots with multiplicity, plus the root-free residual factor.
 
-    Zero roots are stripped first and a linear residual gives its root
-    directly.  Otherwise each candidate from ``_root_candidates`` is divided
-    out while the division is exact; its first remainder is p at the
-    candidate, so a candidate that is no root is rejected by exact arithmetic.
+    Zero roots are stripped first.  Then each candidate that
+    ``_root_candidates`` finds for the square-free part is divided out while
+    the division is exact; its first remainder is p at the candidate, so a
+    candidate that is no root is rejected by exact arithmetic.
     """
     zeros = 0
     while zeros < p.degree and not p.ints[zeros]:
         zeros += 1
     roots = [Fraction(0)] * zeros
     current = Polynomial._raw(p.content_num, p.content_den, p.ints[zeros:])
-    if current.degree == 1:
-        a0, a1 = current.ints
-        roots.append(Fraction(-a0, a1))
-        current = Polynomial._raw(*_ratio_mul(current.content_num, current.content_den, a1, 1), (1,))
-    elif current.degree > 1:
-        for root in _root_candidates(current):
+    for root in _root_candidates(_cancel(current, current.diff())[0]):
+        quotient, remainder = divmod(current, linear(root))
+        while remainder.is_zero:
+            roots.append(root)
+            current = quotient
             quotient, remainder = divmod(current, linear(root))
-            while remainder.is_zero:
-                roots.append(root)
-                current = quotient
-                quotient, remainder = divmod(current, linear(root))
     return roots, current
 
 
@@ -633,7 +629,9 @@ def partial_fractions(r: RationalFunction) -> PartialFractions:
 
     Raises RepeatedPoleError if the denominator is not square-free and
     IrreducibleFactorError if it has a rationally irreducible non-linear
-    factor; both mean the input is outside the integrable class.
+    factor; both mean the input is outside the integrable class.  Once the
+    denominator is known square-free, x is stripped from it and each
+    candidate root is kept where Horner's rule gives zero, with no division.
     """
     quotient, remainder = divmod(r.num, r.den)
     if remainder.is_zero:
@@ -641,8 +639,11 @@ def partial_fractions(r: RationalFunction) -> PartialFractions:
     den, dprime = r.den, r.den.diff()
     if poly_gcd(den, dprime).degree > 0:
         raise RepeatedPoleError(f"{_named('denominator', den)} has a repeated factor")
-    roots, residual = rational_roots(den)
-    if residual.degree > 0:
+    at_zero = not den.ints[0]
+    rest = Polynomial._raw(1, 1, den.ints[at_zero:])
+    roots = [Fraction(0)] * at_zero + [c for c in _root_candidates(rest) if not rest(c)]
+    if len(roots) < den.degree:
+        residual = den // math.prod(map(linear, roots), start=ONE)
         raise IrreducibleFactorError(f"{_named('denominator factor', residual)} is irreducible over the rationals")
     terms = tuple((root, remainder(root) / dprime(root)) for root in sorted(roots))
     return PartialFractions(quotient, terms)

@@ -12,21 +12,22 @@ exists in closed form exactly when t and b/a lie in the integrable class, the
 rational functions r for which ``weighted.exp_integral(r)`` exists, that is,
 whose ``algebra.partial_fractions`` has only simple poles at rational roots.
 
-A check compares the split's product-rule expansion with the operator's own,
-once; the testers are evaluated only when the two differ.
+A check compares the split's product-rule expansion with the operator's own by
+equality, once; the testers are evaluated only when the two differ.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from .algebra import DecompositionError, Polynomial, RationalFunction, Scalar, as_rational_function
-from .weighted import Coercible, WeightStructureError, WeightedExpression, as_weighted, exp_integral
+from .weighted import Coercible, WeightStructureError, WeightedExpression, _in_cell, as_weighted, exp_integral
 
 RAISING = "raising"
 LOWERING = "lowering"
+_label = lru_cache(maxsize=64)(WeightedExpression.to_text)  # a tester's label, rendered once per variable
 
 
 class OutOfClassError(ValueError):
@@ -86,7 +87,8 @@ class Factorization:
     """The split f1 * D * g2 + h (raising) or -g2 * D * f1 + h (lowering).
 
     ``apply`` expands it by the product rule alone, never using f1 * g2 = a:
-    (outer*inner)*D + outer*inner' + h, outer*inner being f1*g2 or -g2*f1.
+    lead*D + slope + h, lead = outer*inner being f1*g2 or -g2*f1 and the slope
+    outer*inner' read as lead*(inner'/inner) in lead's cell, zero when lead is.
     """
 
     f1: WeightedExpression
@@ -98,7 +100,8 @@ class Factorization:
     @cached_property
     def _expanded(self) -> tuple[WeightedExpression, WeightedExpression]:
         outer, inner = (self.f1, self.g2) if self.form == RAISING else (-self.g2, self.f1)
-        return outer * inner, outer * inner.diff()
+        lead = outer * inner
+        return lead, lead if lead.is_zero else _in_cell(lead.coeff * inner.log_derivative(), *lead.weight_cell())
 
     def apply(self, u: WeightedExpression | Polynomial | Scalar) -> WeightedExpression:
         lead, slope = self._expanded
@@ -124,7 +127,7 @@ def factorize(
     """
     t = as_rational_function(drift)
     lead, slope = op._expanded
-    ratio = (slope / lead).coeff  # rational, as a and b share a weight cell
+    ratio = slope.coeff / lead.coeff  # B/A, as a and b share a weight cell
     try:
         if op.form == RAISING:
             g2 = exp_integral(ratio - t)
@@ -171,13 +174,13 @@ def verify_factorization(op: LadderOperator, fac: Factorization, testers: Iterab
     """Check that the factorized application agrees with the operator on each tester.
 
     By the product rule fac.apply(u) - op.apply(u) = (lead - A) u' + (slope + h - B) u
-    for every u, so when both coefficients are zero every tester is exact and none
-    is evaluated.  Otherwise each tester compares fac.apply(u) with op.apply(u) by
-    canonical equality, and a failure carries the difference.
+    for every u; members are canonical, so when lead == A and slope + h == B every
+    tester is exact and none is evaluated.  Otherwise each tester compares
+    fac.apply(u) with op.apply(u) by canonical equality, and a failure carries the difference.
     """
     (lead, slope), (a, b) = fac._expanded, op._expanded
     try:
-        identity = (lead - a).is_zero and (slope + fac.h - b).is_zero
+        identity = lead == a and slope + fac.h == b
     except WeightStructureError:
         identity = False
     report = FactorizationReport()
@@ -192,7 +195,7 @@ def verify_factorization(op: LadderOperator, fac: Factorization, testers: Iterab
             except WeightStructureError as exc:  # in fac.apply or the difference: nothing to print, so name both
                 ok, (left, right) = False, exc.operands
                 text = f"weight structure differs: {left.to_text(op.var)} vs {right.to_text(op.var)}"
-        report.checks.append(InstanceResult({"tester": u.to_text(op.var)}, ok, text))
+        report.checks.append(InstanceResult({"tester": _label(u, op.var)}, ok, text))
     return report
 
 

@@ -12,15 +12,17 @@ Integers are unsigned digit runs; rationals are written with '/' (ordinary
 division).  The variable is ``x`` or ``r``.  Exponents are nonnegative
 integers, and parentheses nest at most MAX_NESTING deep, far inside the
 recursion limit.  The result is a Polynomial whenever the denominator reduces
-to one, otherwise a RationalFunction.
+to one, otherwise a RationalFunction; a constant stays a ``Fraction`` until it
+meets the variable.  Digits are decimal (``str.isdecimal``): '²' is none.
 
 The size of every value is budgeted before it is built.  Each operator first
 bounds its result: the degrees of numerator and denominator may not exceed
 MAX_EXPONENT, and the coefficient bit size (the sum of the operands' for a
 sum, product or quotient, the exponent times the base's for a power) may not
 exceed MAX_COEFFICIENT_BITS.  An integer literal is held to the same bit
-limit.  Breaking either limit is a ParseError, so no input makes the parser
-build a polynomial of unbounded size.
+limit, and a ``Fraction`` is sized as the rational function it stands for.
+Breaking either limit is a ParseError, so no input makes the parser build a
+polynomial of unbounded size.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ class _Parser:
             raise ParseError(f"expected {ch!r}", self.pos)
         self.pos += 1
 
-    def parse(self) -> RationalFunction:
+    def parse(self) -> Fraction | RationalFunction:
         value = self.expr()
         self.skip_ws()
         if self.pos != len(self.source):
@@ -82,43 +84,33 @@ class _Parser:
         if bits > MAX_COEFFICIENT_BITS:
             raise ParseError(f"coefficients of {bits} bits exceed the limit {MAX_COEFFICIENT_BITS}", at)
 
-    def expr(self) -> RationalFunction:
+    def expr(self) -> Fraction | RationalFunction:
         value = self.term()
         while self.peek() in ("+", "-"):
             at = self.pos
             op = self.take()
             right = self.term()
-            self.budget(
-                at,
-                max(value.num.degree + right.den.degree, right.num.degree + value.den.degree),
-                value.den.degree + right.den.degree,
-                _bits(value) + _bits(right) + 1,
-            )
+            (vn, vd, vb), (rn, rd, rb) = _size(value), _size(right)
+            self.budget(at, max(vn + rd, rn + vd), vd + rd, vb + rb + 1)
             value = value + right if op == "+" else value - right
         return value
 
-    def term(self) -> RationalFunction:
+    def term(self) -> Fraction | RationalFunction:
         value = self.unary()
         while self.peek() in ("*", "/"):
             at = self.pos
             op = self.take()
             right = self.unary()
-            if op == "*":
-                num, den = right.num, right.den
-            else:
-                if right.is_zero:
+            (vn, vd, vb), (rn, rd, rb) = _size(value), _size(right)
+            if op == "/":
+                if rn < 0:
                     raise ParseError("division by zero", self.pos)
-                num, den = right.den, right.num
-            self.budget(
-                at,
-                value.num.degree + num.degree,
-                value.den.degree + den.degree,
-                _bits(value) + _bits(right),
-            )
+                rn, rd = rd, rn
+            self.budget(at, vn + rn, vd + rd, vb + rb)
             value = value * right if op == "*" else value / right
         return value
 
-    def unary(self) -> RationalFunction:
+    def unary(self) -> Fraction | RationalFunction:
         sign = 1
         while self.peek() in ("+", "-"):
             if self.take() == "-":
@@ -126,7 +118,7 @@ class _Parser:
         value = self.power()
         return value if sign == 1 else -value
 
-    def power(self) -> RationalFunction:
+    def power(self) -> Fraction | RationalFunction:
         value = self.atom()
         if self.peek() == "^":
             self.take()
@@ -134,11 +126,15 @@ class _Parser:
             exponent = self.integer("exponent")
             if exponent > MAX_EXPONENT:
                 raise ParseError(f"exponent {exponent} exceeds the limit {MAX_EXPONENT}", at)
-            self.budget(at, exponent * value.num.degree, exponent * value.den.degree, exponent * _bits(value))
-            return _ratfn_pow(value, exponent)
+            num_degree, den_degree, bits = _size(value)
+            self.budget(at, exponent * num_degree, exponent * den_degree, exponent * bits)
+            if isinstance(value, Fraction):
+                return value**exponent
+            # Powers of a coprime pair stay coprime, and a monic denominator's stay monic.
+            return RationalFunction._reduced(value.num**exponent, value.den**exponent)
         return value
 
-    def atom(self) -> RationalFunction:
+    def atom(self) -> Fraction | RationalFunction:
         ch = self.peek()
         if ch == "(":
             if self.depth == MAX_NESTING:
@@ -149,8 +145,8 @@ class _Parser:
             self.expect(")")
             self.depth -= 1
             return value
-        if ch.isdigit():
-            return as_rational_function(Fraction(self.integer("number")))
+        if ch.isdecimal():
+            return Fraction(self.integer("number"))
         if ch.isalpha():
             at = self.pos
             name = ""
@@ -165,7 +161,7 @@ class _Parser:
     def integer(self, what: str) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.source) and self.source[self.pos].isdigit():
+        while self.pos < len(self.source) and self.source[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             raise ParseError(f"expected {what}", start)
@@ -177,20 +173,18 @@ class _Parser:
         return int(digits)
 
 
-def _bits(value: RationalFunction) -> int:
-    """The largest bit length of any numerator or denominator among the reduced coefficients."""
+def _size(value: Fraction | RationalFunction) -> tuple[int, int, int]:
+    """(numerator degree, denominator degree, the largest bit length of any reduced coefficient's
+    numerator or denominator); a constant reads as over the denominator 1, zero as of degree -1."""
+    if isinstance(value, Fraction):
+        return 0 if value else -1, 0, max(value.numerator.bit_length(), value.denominator.bit_length())
     pairs = (pair for poly in (value.num, value.den) for pair in _coeff_ratios(poly))
-    return max((max(p.bit_length(), q.bit_length()) for p, q in pairs), default=0)
-
-
-def _ratfn_pow(value: RationalFunction, exponent: int) -> RationalFunction:
-    # Powers of a coprime pair stay coprime, and a monic denominator's stay monic.
-    return RationalFunction._reduced(value.num**exponent, value.den**exponent)
+    return value.num.degree, value.den.degree, max(max(p.bit_length(), q.bit_length()) for p, q in pairs)
 
 
 def parse_expression(source: str) -> Polynomial | RationalFunction:
     """Parse exact input; returns a Polynomial when the denominator is one."""
-    value = _Parser(source).parse()
+    value = as_rational_function(_Parser(source).parse())
     if value.is_polynomial:
         return value.num
     return value

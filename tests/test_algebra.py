@@ -227,6 +227,25 @@ class TestPartialFractions:
         with pytest.raises(IrreducibleFactorError):
             partial_fractions(rf(ONE, Polynomial.of(1, 0, 1)))
 
+    @pytest.mark.parametrize("den", [X * Polynomial.of(2, 0, 1), (X - 1) * Polynomial.of(2, 0, 1)])
+    def test_irreducible_factor_is_named_without_its_roots(self, den):
+        with pytest.raises(IrreducibleFactorError) as caught:
+            partial_fractions(rf(ONE, den))
+        assert str(caught.value) == "denominator factor x^2 + 2 is irreducible over the rationals"
+
+    @pytest.mark.parametrize("den", [X * (X - 1) * (2 * X + 1), (X - 2) * (X + 3) * (7 * X - 5)])
+    def test_square_free_denominator_takes_one_gcd_and_no_linear_division(self, monkeypatch, den):
+        # the square-free test is the only gcd and the split off of the polynomial part the
+        # only division: each candidate root is kept by evaluation, not divided out as (x - root)
+        r = rf(X**4 + 1, den)
+        gcds, divisors = [], []
+        gcd, divide = algebra.poly_gcd, Polynomial.__divmod__
+        monkeypatch.setattr(algebra, "poly_gcd", lambda a, b: gcds.append((a, b)) or gcd(a, b))
+        monkeypatch.setattr(Polynomial, "__divmod__", lambda a, b: divisors.append(b) or divide(a, b))
+        parts = partial_fractions(r)
+        assert (len(gcds), divisors) == (1, [r.den])
+        assert len(parts.terms) == 3 and recombined(parts) == r
+
     def test_long_polynomials_are_named_by_degree(self):
         # Eisenstein at 3: x^30 + 3x^29 + ... + 3x + 3 is irreducible over Q.
         irreducible = Polynomial.of(*[3] * 30, 1)

@@ -269,6 +269,14 @@ class TestFactorize:
         assert (code, out) == (2, "")
         assert err == "error: h/a is not a rational function: (x)/(x^2 - 1) * (x + 1)^(1/2) * (x - 1)^(1/2)\n"
 
+    @pytest.mark.parametrize(
+        "drift,message", [("x^²", "expected exponent at position 2"), ("²", "unexpected '²' at position 0")]
+    )
+    def test_superscript_digit_is_a_parse_error(self, capsys, drift, message):
+        # '²'.isdigit() holds but int() refuses it; the parser reads only decimal digits
+        code, out, err = run(capsys, "factorize", "--family", "legendre", "--n", "2", "--drift", drift)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_failed_factorization_exits_one(self, capsys, monkeypatch):
         def doubled_h(op, drift):
             fac = factorize(op, drift)

@@ -255,24 +255,22 @@ class TestVerifyFactorization:
         ],
     )
     def test_a_check_differentiates_the_split_once(self, monkeypatch, spec, direction):
-        # Each factor carries a weight here, and so does the assoc-legendre a; only the
-        # split's inner factor should be differentiated as a weighted member, and no
-        # tester, since a correct split is checked as an operator identity.
+        # Each factor carries a weight here, and so does the assoc-legendre a.  The check
+        # reads the split's slope as lead * (inner'/inner): it takes the rational
+        # log-derivative of the inner factor once and no weighted derivative at all, of a
+        # factor or a tester, since a correct split is checked as an operator identity.
         op = make_operator(spec, direction)
         fac = factorize(op, RationalFunction(ONE, linear(2)))
-        diff, weighted_diffs = WeightedExpression.diff, []
-
-        def counting(self):
-            if self.powers or not self.exp_arg.is_zero:
-                weighted_diffs.append(self)
-            return diff(self)
-
-        monkeypatch.setattr(WeightedExpression, "diff", counting)
+        diffs, log_derivatives = [], []
+        for name, calls in (("diff", diffs), ("log_derivative", log_derivatives)):
+            method = getattr(WeightedExpression, name)
+            monkeypatch.setattr(WeightedExpression, name, lambda self, m=method, c=calls: c.append(self) or m(self))
         assert verify_factorization(op, fac, standard_testers()).ok
-        assert weighted_diffs == [fac.g2 if op.form == RAISING else fac.f1]
-        weighted_diffs.clear()
+        assert diffs == []
+        assert log_derivatives == [fac.g2 if op.form == RAISING else fac.f1]
+        log_derivatives.clear()
         assert verify_factorization(op, fac, standard_testers()).ok  # the expansions are kept
-        assert weighted_diffs == []
+        assert (diffs, log_derivatives) == ([], [])
 
     @pytest.mark.parametrize("kind", families.KINDS)
     def test_only_a_wrong_split_is_applied_to_the_testers(self, monkeypatch, kind):

@@ -6,6 +6,8 @@ from ladderpoly.algebra import ONE, Polynomial, RationalFunction, X
 from ladderpoly.families import FamilySpec, oracle_recurrence
 from ladderpoly.parsing import MAX_COEFFICIENT_BITS, MAX_EXPONENT, MAX_NESTING, ParseError, parse_expression
 
+from helpers import reference_parse
+
 
 class TestGrammar:
     def test_simple_polynomial(self):
@@ -85,6 +87,34 @@ class TestErrors:
         for source in (str(2**MAX_COEFFICIENT_BITS), "9" * 5000, f"x^{'9' * 5000}"):
             with pytest.raises(ParseError, match=f"exceeds the limit of {MAX_COEFFICIENT_BITS} bits"):
                 parse_expression(source)
+
+    @pytest.mark.parametrize(
+        "inside,over,position",
+        [
+            ("(2^511)^8", "(2^512)^8", 8),
+            ("(2^511)^4 + (2^511)^4", "(2^512)^4 + (2^512)^4", 10),
+            ("(2^512)^4 * (2^511)^4", "(2^512)^4 * (2^512)^4", 10),
+        ],
+        ids=["power", "sum", "product"],
+    )
+    def test_constant_budgets_on_both_sides(self, inside, over, position):
+        # constants are sized as the rational functions they stand for, as the
+        # reference parser sizes them
+        assert parse_expression(inside) == reference_parse(inside)
+        for parse in (parse_expression, reference_parse):
+            with pytest.raises(ParseError, match=f"exceed the limit {MAX_COEFFICIENT_BITS}") as err:
+                parse(over)
+            assert err.value.position == position
+
+    @pytest.mark.parametrize(
+        "source,message", [("x^²", "expected exponent at position 2"), ("²", "unexpected '²' at position 0")]
+    )
+    def test_superscript_digits_are_no_digits(self, source, message):
+        # str.isdigit accepts '²' but int() does not; only decimal digits are read
+        with pytest.raises(ParseError) as err:
+            parse_expression(source)
+        assert str(err.value) == message
+        assert parse_expression("x^\u0663 + \u0661\u0662") == X**3 + 12  # Arabic-Indic digits are decimal
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(ParseError):
