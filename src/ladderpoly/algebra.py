@@ -279,14 +279,12 @@ class Polynomial:
     def __pow__(self, exponent: int) -> Polynomial:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial exponent must be a nonnegative integer")
-        result = ONE
-        base = self
-        e = exponent
+        result, base, e = ONE, self, exponent
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            base = base * base if e else base  # no square past the top bit
         return result
 
     def __divmod__(self, other: Polynomial) -> tuple[Polynomial, Polynomial]:

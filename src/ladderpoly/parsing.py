@@ -8,21 +8,20 @@ Grammar (whitespace-insensitive):
     power  := atom ('^' integer)?
     atom   := integer | variable | '(' expr ')'
 
-Integers are unsigned digit runs; rationals are written with '/' (ordinary
-division).  The variable is ``x`` or ``r``.  Exponents are nonnegative
-integers, and parentheses nest at most MAX_NESTING deep, far inside the
-recursion limit.  The result is a Polynomial whenever the denominator reduces
-to one, otherwise a RationalFunction; a constant stays a ``Fraction`` until it
-meets the variable.  Digits are decimal (``str.isdecimal``): '²' is none.
+Integers are unsigned runs of decimal digits ('²' is none); rationals are
+written with '/' (ordinary division).  The variable is ``x`` or ``r``.
+Exponents are nonnegative integers, and parentheses nest at most MAX_NESTING
+deep, far inside the recursion limit.  A constant stays a ``Fraction`` until
+it meets the variable; the result is a Polynomial whenever the denominator
+reduces to one, otherwise a RationalFunction.
 
 The size of every value is budgeted before it is built.  Each operator first
 bounds its result: the degrees of numerator and denominator may not exceed
 MAX_EXPONENT, and the coefficient bit size (the sum of the operands' for a
 sum, product or quotient, the exponent times the base's for a power) may not
 exceed MAX_COEFFICIENT_BITS.  An integer literal is held to the same bit
-limit, and a ``Fraction`` is sized as the rational function it stands for.
-Breaking either limit is a ParseError, so no input makes the parser build a
-polynomial of unbounded size.
+limit, and a constant is sized as the rational function it stands for.  A
+broken limit is a ParseError, so no input builds an unbounded polynomial.
 """
 
 from __future__ import annotations

@@ -50,5 +50,6 @@ def outcome(parse, source):
 @example("(x)^300 / (x + 1)^300")
 @example(f"({2**4095}) + ({2**4095})")
 @example(f"0 * {2**4096 - 1}")  # zero is sized at 1 bit
+@example(f"(x - {2**4000}) * {2**100}")
 def test_parse_matches_the_reference(source):
     assert outcome(parse_expression, source) == outcome(reference_parse, source)
