@@ -8,17 +8,18 @@ entry and no trailing zeros; zero is (0, 1, ()).  The fields are canonical, so
 equality and hashing compare ints, and ``content``, ``coeffs`` and printing
 build a ``Fraction`` or a string only when asked.  A rational function keeps
 its denominator monic and coprime to the numerator, so equal functions have
-identical representations.
+identical representations.  Both are slotted frozen dataclasses.
 
-Arithmetic builds no ``Fraction``: each result touches the content pair once,
-through ``_ratio_mul`` (two cross gcds).  A product multiplies the contents and
-convolves the ints, with no gcd on the ints: by Gauss's lemma a product of
-primitive polynomials is primitive.  A sum scales both operands to one content
-and takes one gcd.  One fraction-free kernel on the ints, ``_divide``, serves
-divmod, gcd and cancellation; it scales the remainder by lead / gcd(term, lead)
-only when that is not 1.  ``poly_gcd`` runs Euclid on primitive int remainders,
-the primitive remainder sequence (Knuth, TAOCP vol. 2, 4.6.1; Brown and Traub
-1971).  Evaluation at p/q runs Horner's rule and builds one ``Fraction``.
+Arithmetic builds no ``Fraction``: a product by a unit is the other factor, and
+any other result touches the content pair once, through ``_ratio_mul`` (two
+cross gcds).  A product multiplies the contents and convolves the ints, with no
+gcd on them: by Gauss's lemma a product of primitive polynomials is primitive.
+A sum scales both operands to one content and takes one gcd.  One fraction-free
+kernel on the ints, ``_divide``, serves divmod, gcd and cancellation; it scales
+the remainder by lead / gcd(term, lead) only when that is not 1.  ``poly_gcd``
+runs Euclid on primitive int remainders, the primitive remainder sequence
+(Knuth, TAOCP vol. 2, 4.6.1; Brown and Traub 1971).  Evaluation at p/q runs
+Horner's rule and builds one ``Fraction``.
 
 ``RationalFunction`` arithmetic on reduced operands cancels only what can
 cancel, the gcd-saving rules for fractions over a Euclidean domain (Henrici,
@@ -27,8 +28,8 @@ further gcd:
 
 * (a/b)(c/d) divides out gcd(a, d) and gcd(c, b); a quotient multiplies by
   the monic reciprocal;
-* a/b + c/d with d1 = gcd(b, d) cancels only gcd(t, d1) from
-  t = a(d/d1) + c(b/d1) over b(d/d1); for b = d that is gcd(a + c, b);
+* a/b + c/d with d1 = gcd(b, d) cancels only gcd(t, d1) from t = a(d/d1) +
+  c(b/d1) over b(d/d1): gcd(a + c, b) for b = d, and nothing for b = d = 1;
 * (a/b)' = (a'(b/g) - a(b'/g)) / (b(b/g)) with g = gcd(b, b') is reduced in
   characteristic 0, and negation needs no gcd.
 
@@ -51,7 +52,7 @@ grows with the bit size of the coefficients rather than their magnitude.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass, fields
 from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, Iterator, Union
@@ -135,7 +136,17 @@ def _divide(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, list[int], lis
     return scale, quotient, remainder[:top]
 
 
-@dataclass(frozen=True, init=False)
+def _sealed(cls: type) -> list:
+    """Field setters of a slotted frozen dataclass, made to raise FrozenInstanceError, not TypeError, for any name."""
+
+    def refuse(self, name: str, *value) -> None:
+        raise FrozenInstanceError(f"cannot assign to or delete {name!r}")
+
+    cls.__setattr__ = cls.__delattr__ = refuse
+    return [cls.__dict__[f.name].__set__ for f in fields(cls)]
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Polynomial:
     """Dense univariate polynomial ``(content_num / content_den) * sum(ints[k] * x**k)``.
 
@@ -156,9 +167,9 @@ class Polynomial:
     def _raw(cls, num: int, den: int, ints: tuple[int, ...]) -> Polynomial:
         """Wrap fields already in canonical form, skipping every check."""
         poly = object.__new__(cls)
-        object.__setattr__(poly, "content_num", num)
-        object.__setattr__(poly, "content_den", den)
-        object.__setattr__(poly, "ints", ints)
+        _set_content_num(poly, num)
+        _set_content_den(poly, den)
+        _set_ints(poly, ints)
         return poly
 
     @classmethod
@@ -248,7 +259,8 @@ class Polynomial:
         return self + (-other)
 
     def __rsub__(self, other: Polynomial | Scalar) -> Polynomial:
-        return -(self - other)
+        other = _as_poly(other)
+        return NotImplemented if other is NotImplemented else other - self
 
     def __neg__(self) -> Polynomial:
         return Polynomial._raw(-self.content_num, self.content_den, self.ints)
@@ -259,14 +271,17 @@ class Polynomial:
                 return NotImplemented
             return self._scaled(other.numerator, other.denominator)
         a, b = self.ints, other.ints
+        if len(b) == 1 and other.content_num == other.content_den:  # a unit: the other factor itself
+            return self
+        if len(a) == 1 and self.content_num == self.content_den:
+            return other
         if not a or not b:
             return ZERO
         num, den = _ratio_mul(self.content_num, self.content_den, other.content_num, other.content_den)
         # A constant's ints are (1,), and by Gauss's lemma the product of
         # primitive polynomials is primitive.
         if len(a) == 1 or len(b) == 1:
-            kept = self if len(b) == 1 else other  # a product by one returns the other factor itself
-            return kept if (num, den) == (kept.content_num, kept.content_den) else Polynomial._raw(num, den, kept.ints)
+            return Polynomial._raw(num, den, a if len(b) == 1 else b)
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
@@ -344,6 +359,7 @@ class Polynomial:
         return self.to_text()
 
 
+_set_content_num, _set_content_den, _set_ints = _sealed(Polynomial)
 ZERO = Polynomial._raw(0, 1, ())
 ONE = Polynomial._raw(1, 1, (1,))
 X = Polynomial._raw(1, 1, (0, 1))
@@ -384,9 +400,9 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 def _cancel(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
     """(a/g, b/g, g) for the monic gcd g, exact on the ints by Gauss's lemma; a constant side takes no gcd."""
     g = ONE
-    if a.degree > 0 and b.degree > 0:
+    if len(a.ints) > 1 and len(b.ints) > 1:
         g = poly_gcd(a, b)
-        if g.degree > 0:
+        if len(g.ints) > 1:
             lead = g.ints[-1]
             a, b = (
                 Polynomial._raw(*_ratio_mul(p.content_num, p.content_den, lead, 1), tuple(_divide(p.ints, g.ints)[1]))
@@ -401,7 +417,7 @@ def _over_monic(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
     return a._scaled(den, num), b.monic()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RationalFunction:
     """Quotient of polynomials in canonical form: den monic, gcd(num, den) = 1."""
 
@@ -419,15 +435,15 @@ class RationalFunction:
             num, den, _ = _cancel(num, den)
             if (den.content_num, den.content_den) != (1, den.ints[-1]):
                 num, den = _over_monic(num, den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        _set_num(self, num)
+        _set_den(self, den)
 
     @classmethod
     def _reduced(cls, num: Polynomial, den: Polynomial) -> RationalFunction:
         """Wrap num/den, already coprime with den monic, skipping every check."""
         out = object.__new__(cls)
-        object.__setattr__(out, "num", num)
-        object.__setattr__(out, "den", den)
+        _set_num(out, num)
+        _set_den(out, den)
         return out
 
     @property
@@ -444,6 +460,8 @@ class RationalFunction:
         if other is NotImplemented:
             return NotImplemented
         a, b, c, d = self.num, self.den, other.num, other.den
+        if len(b.ints) == 1 == len(d.ints):  # both over ONE: one polynomial sum
+            return RationalFunction._reduced(a + c, ONE)
         b, d, d1 = (ONE, ONE, b) if b == d else _cancel(b, d)
         t = a * d + c * b
         if not t.ints:
@@ -460,7 +478,8 @@ class RationalFunction:
         return self + (-other)
 
     def __rsub__(self, other: RationalFunction | Polynomial | Scalar) -> RationalFunction:
-        return -(self - other)
+        other = _as_ratfn(other)
+        return NotImplemented if other is NotImplemented else other - self
 
     def __neg__(self) -> RationalFunction:
         return RationalFunction._reduced(-self.num, self.den)
@@ -493,7 +512,8 @@ class RationalFunction:
         return self._times(*_over_monic(other.den, other.num))
 
     def __rtruediv__(self, other: RationalFunction | Polynomial | Scalar) -> RationalFunction:
-        return _as_ratfn(other) / self
+        other = _as_ratfn(other)
+        return NotImplemented if other is NotImplemented else other / self
 
     def diff(self) -> RationalFunction:
         """(a/b)' = (a'*(b/g) - a*(b'/g)) / (b*(b/g)) for g = gcd(b, b'), reduced in characteristic 0."""
@@ -515,6 +535,7 @@ class RationalFunction:
         return self.to_text()
 
 
+_set_num, _set_den = _sealed(RationalFunction)
 _ZERO_RF = RationalFunction._reduced(ZERO, ONE)
 
 

@@ -17,7 +17,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .algebra import _coeff_texts
+from .algebra import _coeff_ratios, _coeff_texts
 from .families import FamilySpec, KINDS, generate_assoc_legendre, generate_ladder, make_operator
 from .ladder import LOWERING, OutOfClassError, RAISING, factorize, rational_part, verify_factorization
 from .parsing import ParseError, parse_expression
@@ -110,12 +110,25 @@ def _weighted_json(w: WeightedExpression) -> dict:
     }
 
 
+def _printable(n: int, member: WeightedExpression) -> tuple[int, WeightedExpression]:
+    """(n, member), or ValueError at a coefficient p/q with more digits in p or q than ``str`` prints (0: no limit)."""
+    limit, p = sys.get_int_max_str_digits(), member.coeff.num
+    # each printed p divides content_num * c and each q content_den: at most 3 * limit bits is below 8**limit
+    bits = max(p.content_num.bit_length() + max(map(int.bit_length, p.ints), default=0), p.content_den.bit_length())
+    if limit and bits > 3 * limit:
+        bound = 10**limit
+        for v in (v for pair in _coeff_ratios(p) for v in pair if abs(v) >= bound):
+            from decimal import Decimal  # counts the digits exactly, without int-to-str; imported on this path alone
+            raise ValueError(f"row n = {n} has a {Decimal(v).adjusted() + 1}-digit coefficient; the limit is {limit}")
+    return n, member
+
+
 def _gen_members(args) -> tuple[FamilySpec, list[tuple[int, WeightedExpression]]]:
     check_n_max(args.n_max)
     spec = _family_spec(args, args.n_max)  # rejects a missing m and any m outside 0..n_max
-    if spec.kind == "assoc-legendre":
-        return spec, [(n, generate_assoc_legendre(n, spec.m)) for n in range(spec.m, args.n_max + 1)]
-    return spec, [(n, as_weighted(generate_ladder(spec.with_n(n)))) for n in range(args.n_max + 1)]
+    if spec.kind == "assoc-legendre":  # rows are checked as built, so a table stops at its first unprintable one
+        return spec, [_printable(n, generate_assoc_legendre(n, spec.m)) for n in range(spec.m, args.n_max + 1)]
+    return spec, [_printable(n, as_weighted(generate_ladder(spec.with_n(n)))) for n in range(args.n_max + 1)]
 
 
 def _render_gen(args, spec: FamilySpec, members: list[tuple[int, WeightedExpression]]) -> str:

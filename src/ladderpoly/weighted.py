@@ -48,6 +48,7 @@ from .algebra import (
     Scalar,
     ZERO,
     _coerce_scalar,
+    _sealed,
     as_rational_function,
     linear,
     partial_fractions,
@@ -75,7 +76,7 @@ class PowerFactor(NamedTuple):
     exponent: Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeightedExpression:
     coeff: RationalFunction
     powers: tuple[PowerFactor, ...] = ()
@@ -87,9 +88,9 @@ class WeightedExpression:
             raise TypeError("exp_arg must be a Polynomial")
         powers = tuple((_coerce_scalar(root), _coerce_scalar(exponent)) for root, exponent in self.powers)
         num, den, powers, arg = _fold(powers, self.exp_arg) if not coeff.is_zero else (ONE, ONE, (), ZERO)
-        object.__setattr__(self, "coeff", coeff._times(num, den))
-        object.__setattr__(self, "powers", powers)
-        object.__setattr__(self, "exp_arg", arg)
+        _set_coeff(self, coeff._times(num, den))
+        _set_powers(self, powers)
+        _set_exp_arg(self, arg)
 
     # -- constructors -------------------------------------------------------
 
@@ -228,6 +229,7 @@ class WeightedExpression:
         return self.to_text()
 
 
+_set_coeff, _set_powers, _set_exp_arg = _sealed(WeightedExpression)
 _ZERO = WeightedExpression(RationalFunction(ZERO))  # frozen, so one shared instance serves every zero result
 
 
@@ -236,9 +238,9 @@ def _in_cell(coeff: RationalFunction, powers: tuple[PowerFactor, ...], exp_arg: 
     if coeff.is_zero:
         return _ZERO
     out = object.__new__(WeightedExpression)
-    object.__setattr__(out, "coeff", coeff)
-    object.__setattr__(out, "powers", powers)
-    object.__setattr__(out, "exp_arg", exp_arg)
+    _set_coeff(out, coeff)
+    _set_powers(out, powers)
+    _set_exp_arg(out, exp_arg)
     return out
 
 
@@ -278,7 +280,7 @@ def _coerce(value: Coercible) -> WeightedExpression:
     if isinstance(value, WeightedExpression):
         return value
     if isinstance(value, (RationalFunction, Polynomial, int, Fraction)):
-        return WeightedExpression(as_rational_function(value))
+        return _in_cell(as_rational_function(value), (), ZERO)
     return NotImplemented
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ladderpoly import algebra
+from ladderpoly import algebra, weighted
 from ladderpoly.algebra import (
     IrreducibleFactorError,
     ONE,
@@ -174,6 +174,112 @@ def test_arithmetic_builds_no_fraction(monkeypatch):
     assert results[5] * b + results[6] == a and results[7] * b + results[8] == c
     assert results[11] == X - Fraction(2, 3) and r * s == RationalFunction(a * c * Fraction(3, 7), c * b)
     assert (r + s) * (c * b) == RationalFunction(a * b + c * c * Fraction(3, 7))
+
+
+#: (build, fields, properties) of each value type: build() returns a fresh, equal value each call.
+VALUE_TYPES = [
+    pytest.param(lambda: Polynomial.of(1, 2, 3), ("content_num", "content_den", "ints"), ("coeffs", "degree"), id="poly"),
+    pytest.param(lambda: rf(X + 1, X_SQ_MINUS_1 * 2), ("num", "den"), ("is_zero", "is_polynomial"), id="ratfn"),
+    pytest.param(
+        lambda: WeightedExpression(rf(X + 1, X - 2), ((1, Fraction(3, 2)), (-1, Fraction(-1, 3))), X * X),
+        ("coeff", "powers", "exp_arg"),
+        ("is_zero",),
+        id="weighted",
+    ),
+]
+
+
+@pytest.mark.parametrize("build,names,properties", VALUE_TYPES)
+def test_value_types_are_immutable_slotted_and_hash_by_value(build, names, properties):
+    value = build()
+    before = [getattr(value, name) for name in names]
+    for name in (*names, *properties, "unrelated"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, ONE)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert [getattr(value, name) for name in names] == before
+    twin = build()
+    assert twin is not value and twin == value and hash(twin) == hash(value)
+    assert {value: 1}[twin] == 1
+    for item in (value, twin, ZERO, ONE, rf(ZERO), as_weighted(0), as_weighted(X)):
+        assert not hasattr(item, "__dict__")
+
+
+class TestFastPaths:
+    """A unit factor, two denominators of 1 and a weight-free value skip the general path."""
+
+    @pytest.mark.parametrize("unit", [ONE, Polynomial.of(1), (X + 1) // (X + 1)], ids=["ONE", "of-1", "quotient"])
+    def test_product_by_a_unit_is_the_other_factor(self, monkeypatch, unit):
+        others = [X_SQ_MINUS_1 * Fraction(3, 7), Polynomial.of(Fraction(-5, 2)), ZERO]
+
+        def no_ratio_mul(*args):
+            raise AssertionError(f"_ratio_mul{args} for a product by a unit")
+
+        monkeypatch.setattr(algebra, "_ratio_mul", no_ratio_mul)
+        for other in others:
+            assert unit * other is other
+            assert other * unit is other
+
+    def test_sum_of_polynomial_functions_takes_no_product(self, monkeypatch):
+        a = rf(X_SQ_MINUS_1 * Fraction(2, 3))
+        b = rf(Polynomial.of(1, Fraction(-1, 5)), Polynomial.of(4))  # its denominator is a fresh 1, not ONE
+        expected = [
+            rf(Polynomial.of(Fraction(-5, 12), Fraction(-1, 20), Fraction(2, 3))),
+            rf(Polynomial.of(Fraction(-11, 12), Fraction(1, 20), Fraction(2, 3))),
+            rf(X_SQ_MINUS_1 * Fraction(2, 3) + 3),
+            rf(X_SQ_MINUS_1 * Fraction(4, 3)),
+            rf(ZERO),
+        ]
+        calls = []
+        mul = Polynomial.__mul__
+
+        def counted(self, other):
+            calls.append((self, other))
+            return mul(self, other)
+
+        monkeypatch.setattr(Polynomial, "__mul__", counted)
+        monkeypatch.setattr(Polynomial, "__rmul__", counted)
+        results = [a + b, a - b, a + 3, a + a.num, b - b]
+        assert calls == []
+        monkeypatch.undo()
+        assert results == expected
+        assert all(r.den == ONE for r in results)
+
+    @pytest.mark.parametrize(
+        "value",
+        [X_SQ_MINUS_1 * Fraction(-2, 9), 3, Fraction(-4, 7), rf(X, X + 1), ZERO, 0],
+        ids=["poly", "int", "fraction", "ratfn", "zero-poly", "zero"],
+    )
+    def test_as_weighted_of_a_weight_free_value_runs_no_fold(self, monkeypatch, value):
+        expected = WeightedExpression(algebra.as_rational_function(value))
+
+        def no_fold(*args):
+            raise AssertionError(f"_fold{args} for a weight-free value")
+
+        monkeypatch.setattr(weighted, "_fold", no_fold)
+        got = as_weighted(value)
+        assert got == expected and got.powers == () and got.exp_arg is ZERO
+
+
+@pytest.mark.parametrize("other", [1.5, "a"], ids=["float", "str"])
+class TestReflectedOperands:
+    """A reflected operator hands an operand it cannot read back to Python, which names both in order."""
+
+    def test_true_division_by_a_rational_function(self, other):
+        with pytest.raises(TypeError, match=rf"for /: '{type(other).__name__}' and 'RationalFunction'$"):
+            other / rf(X, X + 1)
+
+    @pytest.mark.parametrize("value", [rf(X, X + 1), X], ids=["ratfn", "poly"])
+    def test_subtraction_names_the_operands_in_order(self, other, value):
+        with pytest.raises(TypeError, match=rf"for -: '{type(other).__name__}' and '{type(value).__name__}'$"):
+            other - value
+
+
+def test_exact_operands_still_reflect():
+    assert 3 - X == Polynomial.of(3, -1)
+    assert Fraction(1, 2) - rf(X, X + 1) == rf(Polynomial.of(1, -1), X * 2 + 2)
+    assert 2 / rf(X, X + 1) == rf(X * 2 + 2, X)
 
 
 class TestRationalRoots:

@@ -28,6 +28,8 @@ from helpers import canonical_fields, recombined, reference_cancel, reference_po
 scalars = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
 polys = st.lists(scalars, max_size=9).map(lambda cs: Polynomial(tuple(cs)))
 nonzero_polys = polys.filter(lambda p: not p.is_zero)
+#: The unit, as ONE and as fresh equal objects: a product by one returns the other factor itself.
+units = st.just(ONE) | st.builds(lambda k: Polynomial.of(Fraction(k, k)), st.integers(1, 9))
 
 bounded = settings(max_examples=80, deadline=None)
 
@@ -61,11 +63,23 @@ def test_divmod_identity(a, b):
     assert_canonical(r)
 
 
+def assert_unit_product(a: Polynomial, b: Polynomial, product: Polynomial) -> None:
+    """A product by a unit is the other factor itself (the left one when both are units)."""
+    if b == ONE:
+        assert product is a
+    elif a == ONE:
+        assert product is b
+
+
 @bounded
-@given(polys, polys, scalars | st.integers(-60, 60))
+@given(polys | units, polys | units, scalars | st.integers(-60, 60))
+@example(ONE, Polynomial.of(Fraction(3, 4), 1), 1)
+@example(Polynomial.of(Fraction(-2, 5), 0, 7), Polynomial.of(1), Fraction(1, 2))
+@example(Polynomial.of(1), Polynomial.of(Fraction(-9, 2)), 0)
 def test_mul_matches_fraction_convolution(a, b, c):
     product = a * b
     assert product.coeffs == reference_product(a, b)
+    assert_unit_product(a, b, product)
     assert_canonical(product)
     assert_canonical(a * c)
     assert_canonical(a * 0)
@@ -305,12 +319,15 @@ def test_wide_compose_matches_fraction_horner(outer, inner):
 
 
 @bounded
-@given(wide_polys, wide_polys, wide_scalars | st.integers(-(2**200), 2**200))
+@given(wide_polys | units, wide_polys | units, wide_scalars | st.integers(-(2**200), 2**200))
+@example(Polynomial.of(2**150, Fraction(-1, 3)), ONE, 1)
+@example(Polynomial.of(1), Polynomial.of(Fraction(5, 2**90), -(2**120)), -1)
 def test_wide_sum_and_product_match_fractions(a, b, c):
     assert (a + b).coeffs == reference_sum(a.coeffs, b.coeffs)
     assert (-a).coeffs == tuple(-x for x in a.coeffs)
     assert (a - b).coeffs == reference_sum(a.coeffs, (-b).coeffs)
     assert (a * b).coeffs == reference_product(a, b)
+    assert_unit_product(a, b, a * b)
     assert (a * c).coeffs == stripped(x * c for x in a.coeffs)
     for p in (a + b, a - b, -a, a * b, a * c):
         assert_canonical(p)
@@ -366,12 +383,23 @@ factored_ratfns = st.builds(
 )
 
 
+#: Polynomial functions, over ONE or over a fresh 1 (a constant denominator made monic).
+polynomial_ratfns = st.builds(
+    lambda c, f, k: RationalFunction(factored(c, f), Polynomial.of(k) if k > 1 else ONE),
+    contents | st.just(Fraction(0)),
+    factor_lists,
+    st.integers(1, 4),
+)
+
+
 def fields(r: RationalFunction) -> tuple:
     return (*canonical_fields(r.num), *canonical_fields(r.den))
 
 
 @settings(max_examples=300, deadline=None)
-@given(factored_ratfns, factored_ratfns, contents | st.integers(-12, 12))
+@given(factored_ratfns | polynomial_ratfns, factored_ratfns | polynomial_ratfns, contents | st.integers(-12, 12))
+@example(RationalFunction(Polynomial.of(1, 2)), RationalFunction(Polynomial.of(-3, 0, 5), Polynomial.of(3)), 2)
+@example(RationalFunction(Polynomial.of(Fraction(1, 2), 1)), RationalFunction(Polynomial.of(Fraction(-1, 2), -1)), 0)
 def test_arithmetic_matches_normalizing_constructor(a, b, k):
     """Each result is field-identical to the unreduced pair run through the constructor."""
     assert fields(a + b) == fields(RationalFunction(a.num * b.den + b.num * a.den, a.den * b.den))

@@ -125,6 +125,70 @@ class TestGen:
         assert err == "error: assoc-legendre requires an order m with 0 <= m <= n\n"
 
 
+class TestGenDigitLimit:
+    """gen checks each row as it builds it and stops at the first whose coefficient numerator or
+    denominator has more digits than int-to-str prints (sys.get_int_max_str_digits(); 0 is no limit)."""
+
+    @pytest.fixture
+    def digit_limit(self):
+        saved = sys.get_int_max_str_digits()
+
+        def set_limit(limit):
+            sys.set_int_max_str_digits(limit)
+            return limit
+
+        yield set_limit
+        sys.set_int_max_str_digits(saved)
+
+    @pytest.mark.parametrize(
+        "lam,n_max,printed",
+        [
+            (f"{10**640 - 1}/2", "1", str(10**640 - 1)),  # C_1 = 2 lambda x
+            (f"1/{10**320 - 1}", "2", f"/{(10**320 - 1) ** 2}"),  # C_2 = 2 lambda (lambda + 1) x^2 - lambda
+        ],
+        ids=["numerator", "denominator"],
+    )
+    def test_a_coefficient_of_limit_digits_prints(self, capsys, digit_limit, lam, n_max, printed):
+        digit_limit(640)
+        code, out, err = run(capsys, "gen", "--family", "gegenbauer", "--lambda", lam, "--n-max", n_max, "--format", "csv")
+        assert (code, err) == (0, "")
+        assert printed in out.splitlines()[-1]
+
+    @pytest.mark.parametrize(
+        "lam,n_max,failing",
+        [("5e639", "1", "row n = 1 has a 641-digit"), (f"1/{10**320 + 1}", "2", "row n = 2 has a 641-digit")],
+        ids=["numerator", "denominator"],
+    )
+    def test_one_digit_more_is_a_usage_error(self, capsys, digit_limit, lam, n_max, failing):
+        digit_limit(640)
+        code, out, err = run(capsys, "gen", "--family", "gegenbauer", "--lambda", lam, "--n-max", n_max)
+        assert (code, out) == (2, "")
+        assert err == f"error: {failing} coefficient; the limit is 640\n"
+
+    @pytest.mark.parametrize(
+        "lam,n_max,message",
+        [
+            ("1e300", "40", "row n = 15 has a 4493-digit coefficient"),
+            (str(2**4096 - 1), "512", "row n = 4 has a 4932-digit coefficient"),
+        ],
+        ids=["1e300-n40", "4096-bits-n512"],
+    )
+    def test_a_large_parameter_stops_at_its_first_unprintable_row(self, capsys, digit_limit, lam, n_max, message):
+        digit_limit(4300)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "gen", "--family", "gegenbauer", "--lambda", lam, "--n-max", n_max)
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}; the limit is 4300\n"
+        assert "set_int_max_str_digits" not in err
+
+    def test_no_limit_prints_every_row(self, capsys, digit_limit):
+        digit_limit(0)
+        code, out, err = run(capsys, "gen", "--family", "gegenbauer", "--lambda", "5e639", "--n-max", "1")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["records"][1]["coefficients"] == ["0", str(10**640)]
+
+
 class TestVerify:
     def test_small_suite_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "eq31", "--n-max", "8")
