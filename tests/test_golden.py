@@ -12,8 +12,9 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from ladderpoly.algebra import ONE, X, Polynomial
 from ladderpoly.cli import main
-from ladderpoly.identities import remainder_structure_report
+from ladderpoly.identities import remainder_structure_report, remainder_term
 
 GEN_FAMILIES = {
     "legendre": [],
@@ -147,6 +148,8 @@ GOLDEN = {
 #: The remainder report's JSON at n = 3..5, and at its default n = 3..8.
 REMAINDER_GOLDEN = "d0e31ac414d1da3f7cf712ff8347642c4a632cc3bd3b4876cd197ee08585be2e"
 REMAINDER_DEFAULT_GOLDEN = "97970c439d6b8745541903f2c96fb82c3024df4f620f19fdfeee29a9d4dcf5f2"
+#: The text of F[h] for n = 2..8 and h = 1, x, x^2, 1 + 2x + 3x^2, one line each.
+REMAINDER_TERM_GOLDEN = "c92358e0c9842653082c579c5343261ede3de1a8be8cc1d2cb0424e829be4213"
 
 
 def _digest(text: str) -> str:
@@ -176,3 +179,9 @@ def test_remainder_report_unchanged():
 
 def test_default_remainder_report_unchanged():
     assert remainder_digest() == REMAINDER_DEFAULT_GOLDEN
+
+
+def test_remainder_term_unchanged():
+    drifts = (ONE, X, X * X, Polynomial.of(1, 2, 3))
+    text = "\n".join(str(remainder_term(n, h)) for n in range(2, 9) for h in drifts)
+    assert _digest(text) == REMAINDER_TERM_GOLDEN
