@@ -16,9 +16,9 @@ ground weight of the step p_k = c_k R p_(k-1); ``_RECURRENCES`` holds
 (p_1, k -> (A_k, B_k, C_k)) for p_(k+1) = (A_k x + B_k) p_k - C_k p_(k-1);
 ``_CHAINS`` holds, per family and Rodrigues form (the standard p_n =
 (1/(K_n w)) D^n (w sigma^n) or a chain variant), the least n and the chain
-[left, *steps] applied to an operand, which ``drift_chain`` reads with each D
-as D - s t for a drift t, or as D alone for the member.  ``KINDS`` and
-``GENERATING_KINDS`` are the keys of ``_OPERATORS`` and ``_LADDERS``.
+[left, *steps] applied to an operand, which ``drift_chain`` walks with each D
+a map of its coefficient list (D alone, or D - s t for a drift t).  ``KINDS``
+and ``GENERATING_KINDS`` are the keys of ``_OPERATORS`` and ``_LADDERS``.
 Rows are functions of the index and the spec, so no weighted expression is
 built at import time.
 
@@ -35,6 +35,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable
 
 from .algebra import ONE, Polynomial, RationalFunction, X, _coerce_scalar, nth_derivative
 from .ladder import DIFF, LOWERING, RAISING, LadderOperator
@@ -421,7 +422,7 @@ _GEGENBAUER_LAMBDA = {"legendre": Fraction(1, 2), "chebyshev-U": Fraction(1)}
 
 def rodrigues_standard(spec: FamilySpec) -> Polynomial:
     """The printed n-fold-derivative Rodrigues formula, evaluated exactly from its ``_CHAINS`` row."""
-    return drift_chain(chain_row(spec, "standard"))[0]
+    return drift_chain(chain_row(spec, "standard"))[0].as_polynomial()
 
 
 def rodrigues_chain(spec: FamilySpec, variant: str) -> Polynomial:
@@ -431,7 +432,7 @@ def rodrigues_chain(spec: FamilySpec, variant: str) -> Polynomial:
     """
     if variant not in ("h0-chain", "one-step-split"):
         raise ValueError(f"unknown chain variant: {variant!r}")
-    return drift_chain(chain_row(spec, variant))[0]
+    return drift_chain(chain_row(spec, variant))[0].as_polynomial()
 
 
 def chain_row(spec: FamilySpec, variant: str) -> tuple:
@@ -450,20 +451,15 @@ def chain_row(spec: FamilySpec, variant: str) -> tuple:
         raise ValueError(f"the {variant} form of {spec.kind} is undefined at n = {spec.n}, {params}") from None
 
 
-def drift_chain(row: tuple, t: WeightedExpression | None = None) -> list[Polynomial]:
-    """The s^0, s^1, ... coefficients of a ``chain_row`` read with each D as D - s t; without t, the member.
+def drift_chain(row: tuple, d: Callable[[list], list] = lambda cs: [c.diff() for c in cs]) -> list[WeightedExpression]:
+    """The scaled coefficient list of a ``chain_row``, read with each D as ``d`` of the list.
 
-    D - s t maps [c_0, ..., c_k] to [c_0', c_1' - t c_0, ..., -t c_k].  As e D e^(-1) = D - t for
-    e = exp(int t), the sum at s = 1 is the chain with e on the left and 1/e on the operand.
+    The walk starts from [operand], and a multiply step scales every entry.  D alone gives [member];
+    D - s t, mapping [c_0, ..., c_k] to [c_0', c_1' - t c_0, ..., -t c_k], gives the s^0, s^1, ...
+    coefficients, whose sum is the chain with e = exp(int t) on the left and 1/e on the operand.
     """
     left, steps, operand, scale = row
     coeffs = [as_weighted(operand)]
     for step in reversed([left, *steps]):
-        if step is not DIFF:
-            coeffs = [step * c for c in coeffs]
-        elif t is None:
-            coeffs = [coeffs[0].diff()]
-        else:
-            zero = as_weighted(0)
-            coeffs = [a.diff() - t * b for a, b in zip([*coeffs, zero], [zero, *coeffs])]
-    return [(c * scale).as_polynomial() for c in coeffs]
+        coeffs = d(coeffs) if step is DIFF else [step * c for c in coeffs]
+    return [c * scale for c in coeffs]

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .algebra import ONE, Polynomial, RationalFunction, X, ZERO, nth_derivative
 from .families import (
@@ -26,8 +26,8 @@ from .families import (
     make_operator,
     oracle_recurrence,
 )
-from .ladder import DIFF, InstanceResult, LOWERING, RAISING, apply_chain
-from .weighted import WeightedExpression, as_weighted, exp_integral
+from .ladder import InstanceResult, LOWERING, RAISING
+from .weighted import WeightedExpression, as_weighted
 
 DEFAULT_LAMBDAS = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2))
 
@@ -229,56 +229,52 @@ def identity_check(identity_id: str, n_max: int) -> IdentityReport:
 # ---------------------------------------------------------------------------
 
 
-def remainder_term(n: int, h: Polynomial) -> WeightedExpression:
-    """F[h] = n! P_n minus the drift-weighted chain, exactly.
-
-    The chain is the Legendre h0-chain row with e = exp(int h/(x^2-1)) put once
-    on the left and divided once out of the operand: the interior e-factors of
-    the iterated raising operators cancel pairwise, and only this single-factor
-    reading leaves F a differential polynomial in h.  F[0] is identically zero.
-    """
+def _legendre_h0_chain(n: int, d: Callable[[list], list]) -> list[WeightedExpression]:
+    """The Legendre h0-chain row read by ``drift_chain`` with each D as ``d``."""
     if n < 2:
         raise ValueError("the remainder term needs n >= 2")
-    left, steps, operand, scale = chain_row(FamilySpec("legendre", n), "h0-chain")
-    drift_factor = exp_integral(RationalFunction(h, X_SQ_MINUS_1))
-    chain = apply_chain([left * drift_factor, *steps], operand / drift_factor)
-    return (as_weighted(_legendre(n)) - chain * scale) * math.factorial(n)
+    return drift_chain(chain_row(FamilySpec("legendre", n), "h0-chain"), d)
+
+
+def remainder_term(n: int, h: Polynomial) -> WeightedExpression:
+    """F[h] = n! P_n minus the drift-weighted chain, exactly; F[0] is zero.
+
+    The chain is the Legendre h0-chain row with e = exp(int h/(x^2-1)) once on the left and 1/e on the operand:
+    the interior e-factors of the raising operators cancel pairwise, and only this reading leaves F a differential
+    polynomial in h.  As e D e^(-1) = D - t for t = h/(x^2-1), each D of the row is read as c -> c' - t c.
+    """
+    t = as_weighted(RationalFunction(h, X_SQ_MINUS_1))
+    [chain] = _legendre_h0_chain(n, lambda cs: [cs[0].diff() - t * cs[0]])
+    return (as_weighted(_legendre(n)) - chain) * math.factorial(n)
 
 
 def remainder_expansion(n: int, h: Polynomial) -> list[Polynomial]:
     """Coefficients G_0..G_n of F[s*h] as a polynomial in the scale s.
 
-    The drift factor of s*h conjugates D to D - s t with t = h/(x^2-1), so
-    F[s*h] is n! (P_n minus the Legendre h0-chain read by ``drift_chain`` at
-    t); each of its n D steps raises the degree in s by one.  Every G_j is a
-    polynomial; G_0 is zero.
+    The drift factor of s*h conjugates D to D - s t with t = h/(x^2-1), so F[s*h] is n! (P_n minus the Legendre
+    h0-chain read with each D as D - s t on its s-coefficients); each of its n D steps raises the degree in s by
+    one.  Every G_j is a polynomial; G_0 is zero.
     """
-    if n < 2:
-        raise ValueError("the remainder term needs n >= 2")
-    t = as_weighted(RationalFunction(h, X_SQ_MINUS_1))
-    coeffs = drift_chain(chain_row(FamilySpec("legendre", n), "h0-chain"), t)
+    t, zero = as_weighted(RationalFunction(h, X_SQ_MINUS_1)), as_weighted(0)
+    coeffs = _legendre_h0_chain(n, lambda cs: [a.diff() - t * b for a, b in zip([*cs, zero], [zero, *cs])])
     coeffs[0] = coeffs[0] - _legendre(n)
-    return [c * -math.factorial(n) for c in coeffs]
+    return [c.as_polynomial() * -math.factorial(n) for c in coeffs]
 
 
 def remainder_linear_coefficients(n: int) -> list[Polynomial]:
     """The polynomials g_0..g_(n-1) of the linear-in-h part of F = sum g_j h^(j); g_(n-1) is (x^2-1)^(n-1).
 
-    One walk over the Legendre h0-chain row carries the member c and [g_0, g_1, ...]: a multiply step scales
-    each, and a D step, read as D - s h/(x^2-1), maps g_j to g_j' + g_(j-1) and subtracts c/(x^2-1) from g_0
-    before c becomes c'.
+    The Legendre h0-chain row is read on [c, g_0, g_1, ...], the member and the linear part: a D step,
+    read as D - s h/(x^2-1), maps c to c', g_0 to g_0' - c/(x^2-1) and g_j to g_j' + g_(j-1).
     """
-    if n < 2:
-        raise ValueError("the remainder term needs n >= 2")
-    left, steps, operand, scale = chain_row(FamilySpec("legendre", n), "h0-chain")
-    c, gs, zero = as_weighted(operand), [], as_weighted(0)
-    for step in reversed([left, *steps]):
-        if step is not DIFF:
-            c, gs = step * c, [step * g for g in gs]
-        else:
-            gs = [a.diff() + b for a, b in zip([*gs, zero], [zero, *gs])]
-            gs[0], c = gs[0] - c / X_SQ_MINUS_1, c.diff()
-    return [(g * scale).as_polynomial() * -math.factorial(n) for g in gs]
+    zero = as_weighted(0)
+
+    def d(cs: list[WeightedExpression]) -> list[WeightedExpression]:
+        c, *gs = cs
+        gs = [a.diff() + b for a, b in zip([*gs, zero], [zero, *gs])]
+        return [c.diff(), gs[0] - c / X_SQ_MINUS_1, *gs[1:]]
+
+    return [g.as_polynomial() * -math.factorial(n) for g in _legendre_h0_chain(n, d)[1:]]
 
 
 def remainder_structure_report(

@@ -10,6 +10,7 @@ from ladderpoly.families import (
     FamilySpec,
     X_SQ_MINUS_1,
     assoc_legendre_iterated,
+    drift_chain,
     generate_assoc_legendre,
     generate_ladder,
     hermite_from_laguerre,
@@ -19,7 +20,7 @@ from ladderpoly.families import (
     rodrigues_chain,
     rodrigues_standard,
 )
-from ladderpoly.ladder import LOWERING, RAISING
+from ladderpoly.ladder import DIFF, LOWERING, RAISING
 from ladderpoly.parsing import MAX_COEFFICIENT_BITS
 from ladderpoly.weighted import as_weighted
 
@@ -340,6 +341,14 @@ class TestAssocLegendre:
                 definitional = generate_assoc_legendre(n, m)
                 ratio = assoc_legendre_iterated(n, m).scalar_ratio(definitional)
                 assert ratio == 1
+
+    def test_rodrigues_row_walked_by_drift_chain(self):
+        # P_n^m = (x^2-1)^(m/2) D^(n+m) (x^2-1)^n / (2^n n!), a row built here and not in the
+        # catalog; drift_chain returns the weighted member, so an odd m keeps its square root
+        for n in range(9):
+            for m in range(n + 1):
+                row = (qpow(Fraction(m, 2)), [DIFF] * (n + m), X_SQ_MINUS_1**n, Fraction(1, 2**n * math.factorial(n)))
+                assert drift_chain(row)[0].scalar_ratio(generate_assoc_legendre(n, m)) == 1, (n, m)
 
     def test_sign_convention_unique(self):
         # flipping the sign of either coefficient of the catalog m-raising

@@ -156,6 +156,12 @@ def test_assoc_iterated_failure_carries_the_ratio(monkeypatch):
 
 #: (spec, sigma) for every h0-chain row, legendre and chebyshev-U reading the
 #: gegenbauer one; a row's drift is t = h/sigma.
+def shifted(t):
+    """D - s t on the s^0, s^1, ... coefficients: [c_0, ..., c_k] -> [c_0', c_1' - t c_0, ..., -t c_k]."""
+    zero = as_weighted(0)
+    return lambda cs: [a.diff() - t * b for a, b in zip([*cs, zero], [zero, *cs])]
+
+
 H0_CHAIN_ROWS = [
     (FamilySpec("chebyshev-T", 2), X_SQ_MINUS_1),
     (FamilySpec("gegenbauer", 2, lam=Fraction(3, 2)), X_SQ_MINUS_1),
@@ -189,27 +195,31 @@ class TestRemainderTerm:
             assert len(coeffs) == n + 1
             assert coeffs[0] == ZERO
 
-    @pytest.mark.parametrize("n", range(2, 8))
+    @pytest.mark.parametrize("n", range(2, 13))
     def test_expansion_matches_remainder_term(self, n):
-        # the one-pass expansion against the chain evaluated at each scale s
+        # F[h] against n! (P_n minus the chain with exp(int h/(x^2-1)) around it), built by
+        # apply_chain, which shares no walk with remainder_term; then the one-pass expansion
+        # against remainder_term at each scale s
+        row = chain_row(FamilySpec("legendre", n), "h0-chain")
         for h in (ONE, X, X * X, *random_drifts(2, seed=n)):
+            reference = (legendre(n) - drift_factor_chain(row, RationalFunction(h, X_SQ_MINUS_1))) * math.factorial(n)
+            assert remainder_term(n, h).as_polynomial() == reference
             expansion = remainder_expansion(n, h)
             for s in range(n + 2):
                 total = sum((g * s**j for j, g in enumerate(expansion)), ZERO)
                 assert total == remainder_term(n, h * s).as_polynomial()
-        # every h0-chain row through the same evaluator, at t = h/sigma: s^0 is the
+        # every h0-chain row walked with each D as D - s t, t = h/sigma: s^0 is the
         # member, there is one coefficient per D plus one, each a polynomial, and
         # their sum is the chain with the drift factor exp(int t) around it
         for spec, sigma in H0_CHAIN_ROWS:
             row = chain_row(spec.with_n(n), "h0-chain")
             member = oracle_recurrence(spec.with_n(n))
-            assert drift_chain(row) == [member]
+            assert drift_chain(row) == [as_weighted(member)]
             for h in (ONE, X, Polynomial.of(1, 2, 3)):
                 t = RationalFunction(h, sigma)
-                coeffs = drift_chain(row, as_weighted(t))
+                coeffs = [c.as_polynomial() for c in drift_chain(row, shifted(t))]
                 assert coeffs[0] == member
                 assert len(coeffs) == sum(step is DIFF for step in row[1]) + 1
-                assert all(isinstance(c, Polynomial) for c in coeffs)
                 assert sum(coeffs, ZERO) == drift_factor_chain(row, t)
 
     def test_operator_relation_drift_independent(self):
