@@ -224,6 +224,8 @@ class Polynomial:
         """self * (num/den), for num and den coprime and den nonzero."""
         if not num or not self.ints:
             return ZERO
+        if num == den:  # a unit: self itself
+            return self
         return Polynomial._raw(*_ratio_mul(self.content_num, self.content_den, num, den), self.ints)
 
     def __bool__(self) -> bool:

@@ -199,7 +199,7 @@ class WeightedExpression:
         Both zero compares as ratio 1; zero against nonzero has no nonzero
         ratio and returns None.
         """
-        other = _coerce(other)
+        other = as_weighted(other)
         if self.is_zero and other.is_zero:
             return Fraction(1)
         if self.is_zero or other.is_zero:

@@ -221,6 +221,18 @@ class TestFastPaths:
             assert unit * other is other
             assert other * unit is other
 
+    @pytest.mark.parametrize("unit", [1, Fraction(1), True], ids=["int", "Fraction", "bool"])
+    def test_product_by_the_scalar_1_is_the_other_factor(self, monkeypatch, unit):
+        others = [X, X_SQ_MINUS_1 * Fraction(3, 7), ZERO]
+
+        def no_ratio_mul(*args):
+            raise AssertionError(f"_ratio_mul{args} for a product by 1")
+
+        monkeypatch.setattr(algebra, "_ratio_mul", no_ratio_mul)
+        for other in others:
+            assert other * unit is other
+            assert unit * other is other
+
     def test_sum_of_polynomial_functions_takes_no_product(self, monkeypatch):
         a = rf(X_SQ_MINUS_1 * Fraction(2, 3))
         b = rf(Polynomial.of(1, Fraction(-1, 5)), Polynomial.of(4))  # its denominator is a fresh 1, not ONE

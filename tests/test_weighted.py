@@ -289,6 +289,11 @@ class TestScalarRatio:
         assert zero.scalar_ratio(as_weighted(1)) is None
         assert as_weighted(1).scalar_ratio(zero) is None
 
+    @pytest.mark.parametrize("other", [1.5, "x"], ids=["float", "str"])
+    def test_uninterpretable_operand_is_a_type_error(self, other):
+        with pytest.raises(TypeError, match=r"^cannot interpret .* as a weighted expression$"):
+            as_weighted(X).scalar_ratio(other)
+
 
 class TestAddition:
     def test_same_cell(self):
