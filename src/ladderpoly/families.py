@@ -17,7 +17,7 @@ ground weight of the step p_k = c_k R p_(k-1); ``_RECURRENCES`` holds
 ``_CHAINS`` holds, per family and Rodrigues form (the standard p_n =
 (1/(K_n w)) D^n (w sigma^n) or a chain variant), the least n and the chain
 [left, *steps] applied to an operand, which ``drift_chain`` walks with each D
-a map of its coefficient list (D alone, or D - s t for a drift t).  ``KINDS``
+read as a map of its coefficient list (D alone gives the member).  ``KINDS``
 and ``GENERATING_KINDS`` are the keys of ``_OPERATORS`` and ``_LADDERS``.
 Rows are functions of the index and the spec, so no weighted expression is
 built at import time.

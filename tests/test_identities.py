@@ -154,14 +154,14 @@ def test_assoc_iterated_failure_carries_the_ratio(monkeypatch):
     assert [f.discrepancy for f in report.failures()] == ["2"] * len(failing)
 
 
-#: (spec, sigma) for every h0-chain row, legendre and chebyshev-U reading the
-#: gegenbauer one; a row's drift is t = h/sigma.
 def shifted(t):
     """D - s t on the s^0, s^1, ... coefficients: [c_0, ..., c_k] -> [c_0', c_1' - t c_0, ..., -t c_k]."""
     zero = as_weighted(0)
     return lambda cs: [a.diff() - t * b for a, b in zip([*cs, zero], [zero, *cs])]
 
 
+#: (spec, sigma) for every h0-chain row, legendre and chebyshev-U reading the
+#: gegenbauer one; a row's drift is t = h/sigma.
 H0_CHAIN_ROWS = [
     (FamilySpec("chebyshev-T", 2), X_SQ_MINUS_1),
     (FamilySpec("gegenbauer", 2, lam=Fraction(3, 2)), X_SQ_MINUS_1),
