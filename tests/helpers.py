@@ -7,6 +7,7 @@ from ladderpoly.algebra import (
     MAX_EXPONENT,
     ONE,
     X,
+    DecompositionError,
     PartialFractions,
     Polynomial,
     RationalFunction,
@@ -16,7 +17,7 @@ from ladderpoly.algebra import (
 )
 from ladderpoly.families import FamilySpec, make_operator, oracle_recurrence
 from ladderpoly.identities import remainder_expansion
-from ladderpoly.ladder import LOWERING, RAISING, apply_chain, factorize
+from ladderpoly.ladder import LOWERING, RAISING, Factorization, OutOfClassError, apply_chain, factorize
 from ladderpoly.parsing import MAX_COEFFICIENT_BITS, MAX_NESTING, VARIABLES, ParseError
 from ladderpoly.verify import random_drifts, representative_operators, standard_testers
 from ladderpoly.weighted import WeightStructureError, as_weighted, exp_integral
@@ -147,6 +148,26 @@ def reference_check(op, fac, u) -> tuple[bool, str | None]:
         left, right = exc.operands
         return False, f"weight structure differs: {left.to_text(op.var)} vs {right.to_text(op.var)}"
     return difference.is_zero, None if difference.is_zero else difference.to_text(op.var)
+
+
+def reference_factorize(op, drift) -> Factorization:
+    """``ladder.factorize`` as it was written with one branch per operator shape:
+    raising g2 = exp(int(B/A - t)), f1 = a/g2; lowering f1 = exp(int(B/A + t)),
+    g2 = a/f1, for the operator expanded as A*D + B."""
+    t = as_rational_function(drift)
+    lead, slope = op._expanded
+    ratio = slope.coeff / lead.coeff
+    try:
+        if op.form == RAISING:
+            g2 = exp_integral(ratio - t)
+            f1 = op.a / g2
+        else:
+            f1 = exp_integral(ratio + t)
+            g2 = op.a / f1
+    except DecompositionError as exc:
+        raise OutOfClassError(f"drift outside the integrable class: {exc}") from exc
+    h = op.a * as_weighted(t)
+    return Factorization(f1, g2, h, t, op.form)
 
 
 def reference_factorization_instances(split=factorize, num_drifts: int = 25) -> list[tuple[dict, bool, str | None]]:

@@ -30,7 +30,7 @@ from ladderpoly.ladder import (  # noqa: E402
 from ladderpoly.verify import standard_testers  # noqa: E402
 from ladderpoly.weighted import WeightStructureError, WeightedExpression, as_weighted  # noqa: E402
 
-from helpers import composed_apply, reference_check  # noqa: E402
+from helpers import composed_apply, reference_check, reference_factorize  # noqa: E402
 
 POLES = tuple(Fraction(p) for p in ("0", "1", "-1", "1/2", "2", "-3", "-2/3"))
 
@@ -118,6 +118,24 @@ def test_out_of_class_drift_raises_out_of_class(kind, direction, data, t):
     op = operator(data, kind, direction)
     with pytest.raises(OutOfClassError):
         factorize(op, t)
+
+
+def split_or_refusal(split, op, t):
+    """split(op, t) as its (f1, g2, h, drift, form), or "out of class" where it raises OutOfClassError."""
+    try:
+        fac = split(op, t)
+    except OutOfClassError:
+        return "out of class"
+    return fac.f1, fac.g2, fac.h, fac.drift, fac.form
+
+
+@pytest.mark.parametrize("kind,direction", OPERATORS, ids=[f"{k}-{d}" for k, d in OPERATORS])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data(), t=in_class_drifts | double_poles | quadratic_factors)
+def test_split_equals_the_two_branch_reference(kind, direction, data, t):
+    """factorize gives the reference's split field for field, and refuses exactly where it refuses."""
+    op = operator(data, kind, direction)
+    assert split_or_refusal(factorize, op, t) == split_or_refusal(reference_factorize, op, t)
 
 
 #: A factorization as split, the two corruptions of ``tests/test_ladder.py`` (a
