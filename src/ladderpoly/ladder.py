@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
-from .algebra import DecompositionError, Polynomial, RationalFunction, Scalar, as_rational_function
+from .algebra import DecompositionError, Polynomial, RationalFunction, Scalar, as_rational_function, partial_fractions
 from .weighted import Coercible, WeightStructureError, WeightedExpression, _in_cell, as_weighted, exp_integral
 
 RAISING = "raising"
@@ -86,8 +86,9 @@ class LadderOperator:
 class Factorization:
     """The split f1 * D * g2 + h (raising) or -g2 * D * f1 + h (lowering).
 
-    ``apply`` expands it by the product rule alone, never using f1 * g2 = a:
-    lead*D + slope + h, lead = outer*inner being f1*g2 or -g2*f1 and the slope
+    Both read outer * D * inner + h, with (outer, inner) = (f1, g2) raising and
+    (-g2, f1) lowering.  ``apply`` expands it by the product rule alone, never
+    using f1 * g2 = a: lead*D + slope + h, lead = outer*inner and the slope
     outer*inner' read as lead*(inner'/inner) in lead's cell, zero when lead is.
     """
 
@@ -120,24 +121,22 @@ def factorize(
 ) -> Factorization:
     """Split ``op`` for the reduced drift t = h/a, exactly.
 
-    Raising shape: g2 = exp(int(b/a - t)) and f1 = a/g2, so that
-    log_derivative(g2) = b/a - t.  Lowering shape: f1 = exp(int((a'-b)/a + t))
-    and g2 = a/f1.  Both ratios are B/A for the operator expanded as A*D + B.
-    Raises OutOfClassError when the integrand has a repeated or irrational pole.
+    For the operator expanded as A*D + B and h = a*t, both shapes solve
+    inner = exp(int((B - h)/A)), outer = A/inner.  OutOfClassError names the
+    drift's own repeated or irrational pole, else the integrand's.
     """
     t = as_rational_function(drift)
-    lead, slope = op._expanded
-    ratio = slope.coeff / lead.coeff  # B/A, as a and b share a weight cell
+    (lead, slope), h = op._expanded, op.a * as_weighted(t)
     try:
-        if op.form == RAISING:
-            g2 = exp_integral(ratio - t)
-            f1 = op.a / g2
-        else:
-            f1 = exp_integral(ratio + t)
-            g2 = op.a / f1
+        inner = exp_integral((slope.coeff - h.coeff) / lead.coeff)  # a, b and h share a weight cell
     except DecompositionError as exc:
+        try:
+            partial_fractions(t)
+        except DecompositionError as own:
+            exc = own
         raise OutOfClassError(f"drift outside the integrable class: {exc}") from exc
-    h = op.a * as_weighted(t)
+    outer = lead / inner
+    f1, g2 = (outer, inner) if op.form == RAISING else (inner, -outer)
     return Factorization(f1, g2, h, t, op.form)
 
 

@@ -155,31 +155,26 @@ def suite_rodrigues(n_max: int) -> list[IdentityReport]:
     return [report]
 
 
-def _identities(*ids: str):
-    """Runner for identity checks, looked up in identities._CHECKS when it runs."""
-    return lambda n_max: [identity_check(i, n_max) for i in ids]
+def _identities(*ids: str, cap=lambda n: n):
+    """Runner for identity checks at cap(n_max), looked up in identities._CHECKS when it runs."""
+    return lambda n_max: [identity_check(i, cap(n_max)) for i in ids]
 
 
-def _as_given(n_max: int) -> int:
-    return n_max
-
-
-#: Every suite but ``all``, in the order ``all`` runs them: name -> (n rule,
-#: runner).  The n rule maps the requested n_max to the one the runner gets,
-#: caps included; a runner takes only that n_max and returns its reports, and
+#: Every suite but ``all``, in the order ``all`` runs them: name -> runner of
+#: the requested n_max, any cap inside.  A runner returns its reports, and
 #: ``run_suite`` passes the negative control to ``suite_oracle`` alone.
 _SUITES = {
-    "oracle": (_as_given, suite_oracle),
-    "eq31": (_as_given, _identities("eq31")),
-    "remark3term": (lambda n: max(n, 3), _identities("remark3term", "remark3term-legendre")),
-    "eq34": (_as_given, _identities("eq34", "eq33-35")),
-    "assoc-relations": (lambda n: min(n, 12), _identities("assoc-relations")),
-    "factorization": (_as_given, lambda n_max: suite_factorization()),
-    "rodrigues": (lambda n: min(n, 12), suite_rodrigues),
+    "oracle": suite_oracle,
+    "eq31": _identities("eq31"),
+    "remark3term": _identities("remark3term", "remark3term-legendre", cap=lambda n: max(n, 3)),
+    "eq34": _identities("eq34", "eq33-35"),
+    "assoc-relations": _identities("assoc-relations", cap=lambda n: min(n, 12)),
+    "factorization": lambda n_max: suite_factorization(),
+    "rodrigues": lambda n_max: suite_rodrigues(min(n_max, 12)),
 }
 
 #: ``all`` runs every suite above, then these identity checks.
-_ALL_ONLY = (_as_given, _identities("legendre-relations", "gegenbauer-updown", "chebyshev-relations"))
+_ALL_ONLY = _identities("legendre-relations", "gegenbauer-updown", "chebyshev-relations")
 
 SUITE_NAMES = (*_SUITES, "all")
 
@@ -199,9 +194,8 @@ def run_suite(suite: str, n_max: int, negative_control: bool = False) -> SuiteRe
     check_n_max(n_max)
     if negative_control and suite not in ("oracle", "all"):
         raise ValueError(f"the negative control corrupts only the oracle suite, which {suite!r} does not run")
-    entries = [*_SUITES.values(), _ALL_ONLY] if suite == "all" else [_SUITES[suite]]
+    runners = [*_SUITES.values(), _ALL_ONLY] if suite == "all" else [_SUITES[suite]]
     result = SuiteResult(suite, n_max)
-    for rule, runner in entries:
-        n = rule(n_max)
-        result.reports += suite_oracle(n, negative_control) if runner is suite_oracle else runner(n)
+    for runner in runners:
+        result.reports += suite_oracle(n_max, negative_control) if runner is suite_oracle else runner(n_max)
     return result

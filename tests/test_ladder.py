@@ -148,6 +148,16 @@ class TestFactorize:
         with pytest.raises(OutOfClassError):
             factorize(op, RationalFunction(ONE, Polynomial.of(1, 0, 1)))
 
+    @pytest.mark.parametrize("form", [RAISING, LOWERING])
+    def test_out_of_class_error_names_the_drift_else_the_integrand(self, form):
+        op = make_operator(FamilySpec("legendre", 2), form)
+        with pytest.raises(OutOfClassError, match=r"denominator x\^2 - x \+ 1/4 has a repeated factor$"):
+            factorize(op, RationalFunction(ONE, linear(Fraction(1, 2)) ** 2))
+        # b/a = 1/x^2 has the double pole, t = 1/(x - 1) has none: the integrand is named
+        op = LadderOperator(as_weighted(X * X), as_weighted(1), form)
+        with pytest.raises(OutOfClassError, match=r"denominator x\^3 - x\^2 has a repeated factor$"):
+            factorize(op, RationalFunction(ONE, linear(1)))
+
 
 class TestVerifyFactorization:
     def test_legendre_tester_cube(self):
