@@ -1,10 +1,15 @@
+import contextlib
 import dataclasses
+import hashlib
+import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -547,3 +552,66 @@ def test_negative_alpha_out_of_range_keeps_its_message(capsys, command, value):
     assert run(capsys, *argv, "--alpha", value) == expected
     assert run(capsys, *argv, f"--alpha={value}") == expected
 
+
+#: The interpreters ``requires-python`` admits besides the one running the suite.
+DECLARED_INTERPRETERS = ("python3.10", "python3.12", "python3.13")
+VERIFY_ALL = ("verify", "--suite", "all", "--n-max", "8", "--json")
+
+#: The value-type contract, run with ``-c``: a set or delete of any name raises
+#: FrozenInstanceError, equal values hash equal, and no instance has a __dict__.
+VALUE_CONTRACT = """
+from dataclasses import FrozenInstanceError
+from fractions import Fraction
+from ladderpoly.algebra import X, RationalFunction
+from ladderpoly.weighted import WeightedExpression, as_weighted
+builds = (lambda: X * X - 1, lambda: RationalFunction(X, X + 1), lambda: as_weighted(X) * WeightedExpression.power(1, Fraction(1, 2)))
+for build in builds:
+    value, twin = build(), build()
+    for name in (*type(value).__dataclass_fields__, "unrelated"):
+        for change in (lambda: setattr(value, name, None), lambda: delattr(value, name)):
+            try:
+                change()
+                raise SystemExit(f"{type(value).__name__}.{name} changed")
+            except FrozenInstanceError:
+                pass
+    assert twin is not value and twin == value and hash(twin) == hash(value)
+    assert not hasattr(value, "__dict__")
+print("ok")
+"""
+
+
+def interpreter_env(name: str) -> dict | None:
+    """The environment in which ``name`` runs with ``PYTHONPATH=src``, or None if it does not start.
+
+    A pyenv shim runs an installed version that is not the selected one when
+    ``PYENV_VERSION`` names it, as ``pyenv whence`` reports.
+    """
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    if shutil.which(name) is None:
+        return None
+    if subprocess.run([name, "-c", "pass"], capture_output=True, env=env, timeout=30).returncode == 0:
+        return env
+    if shutil.which("pyenv") is None:
+        return None
+    versions = subprocess.run(["pyenv", "whence", name], capture_output=True, text=True, timeout=30).stdout.split()
+    return {**env, "PYENV_VERSION": versions[-1]} if versions else None
+
+
+@cache
+def in_process_verify_digest() -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(VERIFY_ALL)) == 0
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", DECLARED_INTERPRETERS)
+def test_declared_interpreter_prints_the_same_bytes_and_keeps_the_value_contract(name):
+    env = interpreter_env(name)
+    if env is None:
+        pytest.skip(f"{name} does not start here: not checked")
+    done = subprocess.run([name, "-m", "ladderpoly.cli", *VERIFY_ALL], capture_output=True, env=env, timeout=60)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert hashlib.sha256(done.stdout).hexdigest() == in_process_verify_digest()
+    contract = subprocess.run([name, "-c", VALUE_CONTRACT], capture_output=True, text=True, env=env, timeout=60)
+    assert (contract.returncode, contract.stdout, contract.stderr) == (0, "ok\n", "")
