@@ -14,15 +14,19 @@ suite's families need is rational, and every odd one is 0:
 So sum_i c_i mu_(i+k) = 0 for k < n, with c_i the coefficients of p_n.  The
 check shares nothing with the recurrences, the operators, the Rodrigues
 formulas or the chains, so a mistake common to those paths cannot pass it.
+Besides the oracle suite's fixed parameters, hypothesis draws lambda > -1/2
+(lambda != 0, where C_n^(lambda) vanishes) and alpha > -1, the ranges in which
+each weight is integrable and every Rodrigues scale is defined.
 """
 
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ladderpoly.algebra import Polynomial
-from ladderpoly.families import FamilySpec, oracle_recurrence
+from ladderpoly.families import FamilySpec, generate_ladder, oracle_recurrence, rodrigues_chain, rodrigues_standard
 from ladderpoly.identities import DEFAULT_LAMBDAS
 from ladderpoly.verify import DEFAULT_ALPHAS, oracle_family_specs
 
@@ -117,3 +121,31 @@ def test_moment_table_by_symbolic_integration():
         integrals = [sp.integrate(integrand(k), bounds) for k in range(7)]
         table = [sp.Rational(moments(spec)(k)) for k in range(7)]
         assert [sp.simplify(m / integrals[0]) for m in integrals] == table, spec
+
+
+def assert_the_member(p: Polynomial, spec: FamilySpec) -> None:
+    assert p.degree == spec.n and p.leading == leading_coefficient(spec), spec
+    assert orthogonality_defects(p, spec) == [], spec
+
+
+def small_ratios(least: Fraction):
+    """p/q with q in 1..6, above ``least``."""
+    return st.builds(Fraction, st.integers(-6, 12), st.integers(1, 6)).filter(lambda r: r > least)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lam=small_ratios(-HALF).filter(bool), n=st.integers(0, 10))
+def test_gegenbauer_at_a_drawn_lambda(lam, n):
+    """The ladder, the standard Rodrigues formula and, for n >= 1, both chain forms."""
+    spec = FamilySpec("gegenbauer", n, lam=lam)
+    chains = [rodrigues_chain(spec, variant) for variant in ("h0-chain", "one-step-split")] if n else []
+    for p in (generate_ladder(spec), rodrigues_standard(spec), *chains):
+        assert_the_member(p, spec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=small_ratios(Fraction(-1)), n=st.integers(0, 10))
+def test_laguerre_at_a_drawn_alpha(alpha, n):
+    spec = FamilySpec("laguerre", n, alpha=alpha)
+    for p in (generate_ladder(spec), rodrigues_standard(spec)):
+        assert_the_member(p, spec)
