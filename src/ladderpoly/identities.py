@@ -10,7 +10,7 @@ the generators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterable, Sequence
@@ -57,14 +57,7 @@ class IdentityReport:
         return f"{self.identity_id}: {passed}/{len(self.instances)} instances exact"
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.identity_id,
-            "ok": self.ok,
-            "instances": [
-                {"params": inst.params, "ok": inst.ok, "discrepancy": inst.discrepancy}
-                for inst in self.instances
-            ],
-        }
+        return {"id": self.identity_id, "ok": self.ok, "instances": [asdict(inst) for inst in self.instances]}
 
 
 def _legendre(n: int) -> Polynomial:
