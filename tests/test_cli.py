@@ -580,21 +580,22 @@ print("ok")
 """
 
 
-def interpreter_env(name: str) -> dict | None:
-    """The environment in which ``name`` runs with ``PYTHONPATH=src``, or None if it does not start.
+def interpreter(name: str) -> str | None:
+    """The executable that ``name`` on ``PATH`` starts, or None if it does not start.
 
-    A pyenv shim runs an installed version that is not the selected one when
+    A pyenv shim starts an installed version that is not the selected one when
     ``PYENV_VERSION`` names it, as ``pyenv whence`` reports.
     """
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
     if shutil.which(name) is None:
         return None
-    if subprocess.run([name, "-c", "pass"], capture_output=True, env=env, timeout=30).returncode == 0:
-        return env
-    if shutil.which("pyenv") is None:
-        return None
-    versions = subprocess.run(["pyenv", "whence", name], capture_output=True, text=True, timeout=30).stdout.split()
-    return {**env, "PYENV_VERSION": versions[-1]} if versions else None
+    probe = [name, "-c", "import sys; print(sys.executable)"]
+    done = subprocess.run(probe, capture_output=True, text=True, timeout=30)
+    if done.returncode and shutil.which("pyenv"):
+        versions = subprocess.run(["pyenv", "whence", name], capture_output=True, text=True, timeout=30).stdout.split()
+        if versions:
+            env = {**os.environ, "PYENV_VERSION": versions[-1]}
+            done = subprocess.run(probe, capture_output=True, text=True, timeout=30, env=env)
+    return done.stdout.strip() if done.returncode == 0 else None
 
 
 @cache
@@ -607,11 +608,17 @@ def in_process_verify_digest() -> str:
 
 @pytest.mark.parametrize("name", DECLARED_INTERPRETERS)
 def test_declared_interpreter_prints_the_same_bytes_and_keeps_the_value_contract(name):
-    env = interpreter_env(name)
-    if env is None:
+    executable = interpreter(name)
+    if executable is None:
         pytest.skip(f"{name} does not start here: not checked")
-    done = subprocess.run([name, "-m", "ladderpoly.cli", *VERIFY_ALL], capture_output=True, env=env, timeout=60)
-    assert (done.returncode, done.stderr) == (0, b"")
-    assert hashlib.sha256(done.stdout).hexdigest() == in_process_verify_digest()
-    contract = subprocess.run([name, "-c", VALUE_CONTRACT], capture_output=True, text=True, env=env, timeout=60)
-    assert (contract.returncode, contract.stdout, contract.stderr) == (0, "ok\n", "")
+    env, pipes = {**os.environ, "PYTHONPATH": str(SRC)}, {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
+    with (
+        subprocess.Popen([executable, "-m", "ladderpoly.cli", *VERIFY_ALL], env=env, **pipes) as verify_run,
+        subprocess.Popen([executable, "-c", VALUE_CONTRACT], env=env, **pipes) as contract,
+    ):
+        expected = in_process_verify_digest()  # while both run
+        out, err = verify_run.communicate(timeout=60)
+        contract_out = contract.communicate(timeout=60)
+    assert (verify_run.returncode, err) == (0, b"")
+    assert hashlib.sha256(out).hexdigest() == expected
+    assert (contract.returncode, *contract_out) == (0, b"ok\n", b"")
