@@ -130,7 +130,7 @@ def split_or_refusal(split, op, t):
 
 
 @pytest.mark.parametrize("kind,direction", OPERATORS, ids=[f"{k}-{d}" for k, d in OPERATORS])
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=6, deadline=None)
 @given(data=st.data(), t=in_class_drifts | double_poles | quadratic_factors)
 def test_split_equals_the_two_branch_reference(kind, direction, data, t):
     """factorize gives the reference's split field for field, and refuses exactly where it refuses."""

@@ -133,7 +133,7 @@ def small_ratios(least: Fraction):
     return st.builds(Fraction, st.integers(-6, 12), st.integers(1, 6)).filter(lambda r: r > least)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(lam=small_ratios(-HALF).filter(bool), n=st.integers(0, 10))
 def test_gegenbauer_at_a_drawn_lambda(lam, n):
     """The ladder, the standard Rodrigues formula and, for n >= 1, both chain forms."""
@@ -143,7 +143,7 @@ def test_gegenbauer_at_a_drawn_lambda(lam, n):
         assert_the_member(p, spec)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(alpha=small_ratios(Fraction(-1)), n=st.integers(0, 10))
 def test_laguerre_at_a_drawn_alpha(alpha, n):
     spec = FamilySpec("laguerre", n, alpha=alpha)
